@@ -72,7 +72,10 @@ class DatabaseQueryTool(Tool):
         self.llm = llm
         self.model = model
         self.builder = cached_builder(prompt_config)
-        self.base_filter = dict(base_filter or {"type": "task"})
+        # explicit None check: an empty filter means "every document"
+        self.base_filter = dict(base_filter) if base_filter is not None else {
+            "type": "task"
+        }
         self.pushdown = pushdown
         #: result cache; defaults to the Query API's own, so tool and
         #: facade share one hit accounting per store

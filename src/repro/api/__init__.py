@@ -10,8 +10,10 @@ remotely.  This package is that boundary:
 * :mod:`repro.api.gateway` — :class:`ProvenanceGateway`, routing schema
   requests onto the serving layer (:class:`~repro.agent.service.AgentService`),
   the Query API / versioned query cache, and the lineage index — with
-  all three query dialects (``filter`` / ``pipeline`` / ``graph``)
-  behind one ``execute_query``;
+  all four query dialects (``filter`` / ``pipeline`` / ``sql`` /
+  ``graph``) behind one ``execute_query``;
+* :mod:`repro.api.stages` — the stage sequence every query runs
+  (validate, compile[dialect], explain or execute, page);
 * :mod:`repro.api.routing` — the transport-neutral routing core
   (``/v1/sessions``, ``/v1/sessions/{id}/chat``, ``/v1/query``,
   ``/v1/lineage/{task_id}``, ``/v1/stats``) with JSON/CSV content

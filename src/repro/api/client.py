@@ -1,8 +1,11 @@
 """Gateway clients: one interface, two transports.
 
 :class:`GatewayClient` calls a :class:`~repro.api.gateway.ProvenanceGateway`
-in-process; :class:`RemoteClient` speaks the HTTP transport
-(:mod:`repro.api.http`) over a keep-alive connection.  Both expose the
+in-process; :class:`RemoteClient` speaks HTTP/1.1 over a keep-alive
+connection to either server transport — the asyncio
+:class:`~repro.api.aio.AsyncGatewayServer` or the threaded
+:class:`~repro.api.http.GatewayHTTPServer`, which share one routing
+core and answer byte-identically.  Both clients expose the
 *same* methods with the same signatures and return the same schema
 instances — and their ``*_json`` forms return the same canonical JSON
 text byte-for-byte (``tests/api/test_client_parity.py`` and

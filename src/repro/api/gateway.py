@@ -12,16 +12,13 @@ one request/response schema layer (:mod:`repro.api.schemas`) routed here:
   anatomy (text / code / table / chart) so transports are comparable
   byte-for-byte;
 * **query** — :meth:`execute_query` accepts all four dialects through
-  one entry point, compiling each onto the *existing* query
-  infrastructure: ``filter`` hits the Query API's cached frame
-  materialisation, ``pipeline`` parses through the query IR with
-  predicate pushdown and shares the versioned
-  :class:`~repro.query.QueryCache` entries with the NL database tool
-  (same key shape, so a programmatic query warms the cache for chat and
-  vice versa), ``sql`` compiles a SELECT statement
-  (:mod:`repro.sql`) onto the *same* IR — same executor, same pushdown,
-  same cache entries as ``pipeline``, plus ``explain=True`` for the
-  compiled plan — and ``graph`` routes onto the structured
+  one entry point and one stage sequence (:mod:`repro.api.stages`).
+  The dialect only chooses the compiler, never the store or the cache:
+  ``filter`` hits the Query API's cached frame materialisation,
+  ``pipeline`` and ``sql`` compile onto the same query IR — one
+  executor, one pushdown path, and :class:`~repro.query.QueryCache`
+  entries shared with each other and with the NL database tool — and
+  ``graph`` routes onto the structured
   :class:`~repro.agent.tools.graph_query.GraphQueryTool` surface;
 * **pagination** — frame-shaped results page through
   :class:`~repro.api.schemas.Cursor` tokens pinned to the query
@@ -44,7 +41,6 @@ exception — which is what lets the stdlib HTTP transport
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from bisect import bisect_left, insort
 from collections import deque
@@ -56,34 +52,26 @@ from repro.api.schemas import (
     ChatReply,
     ChatRequest,
     CreateSessionRequest,
-    Cursor,
-    DIALECTS,
     ErrorCode,
     ErrorEnvelope,
     FramePayload,
     LineageReply,
     LineageRequest,
-    Page,
     QueryReply,
     QueryRequest,
     SessionInfo,
     StatsReply,
 )
-from repro.dataframe import DataFrame
-from repro.errors import ProvenanceError, QueryExecutionError, QuerySyntaxError
-from repro.provenance.query_api import store_version
-from repro.query import parse_query, render_query
-from repro.query import ast as qast
-from repro.query.engine import pipeline_cache_key, run_cached_pipeline
-from repro.query.partial import step_label
-from repro.query.pushdown import merge_filters, pipeline_prefilter, plan_pushdown
-from repro.sql import SqlError, SqlSyntaxError, compile_sql
+from repro.api.stages import DIALECT_STAGES, QueryContext, error_parts, page, validate
+from repro.errors import ProvenanceError
+from repro.query.cache import canonical_filter_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.agent.service import AgentService
     from repro.agent.session import AgentReply
     from repro.api.admission import AdmissionController
     from repro.provenance.query_api import QueryAPI
+    from repro.query.engine import PipelineRun
 
 __all__ = ["ProvenanceGateway", "DEFAULT_PAGE_SIZE"]
 
@@ -131,24 +119,6 @@ class _LatencyReservoir:
 #: page size used when a cursor continues a query that never set one
 DEFAULT_PAGE_SIZE = 100
 
-#: per-dialect request fields that belong to the OTHER dialects; their
-#: presence is a BAD_REQUEST, never a silent no-op
-_FOREIGN_FIELDS: dict[str, tuple[str, ...]] = {
-    "filter": (
-        "code", "sql", "operation", "task_id", "target",
-        "depth", "workflow_id",
-    ),
-    "pipeline": (
-        "filter", "sort", "limit", "sql", "operation",
-        "task_id", "target", "depth", "workflow_id",
-    ),
-    "graph": ("filter", "sort", "limit", "code", "sql"),
-    "sql": (
-        "filter", "sort", "limit", "code", "operation", "task_id",
-        "target", "depth", "workflow_id",
-    ),
-}
-
 
 class ProvenanceGateway:
     """Transport-agnostic front door over one :class:`AgentService`."""
@@ -167,12 +137,17 @@ class ProvenanceGateway:
         self.query_api = query_api or (
             db_tool.query_api if db_tool is not None else None
         )
+        # explicit None check: an empty filter means "every document"
+        if base_filter is None:
+            base_filter = (
+                db_tool.base_filter if db_tool is not None else {"type": "task"}
+            )
         #: documents the pipeline dialect executes over, mirroring the
         #: database tool so both surfaces share cache entries
-        self.base_filter = dict(
-            base_filter
-            or (db_tool.base_filter if db_tool is not None else {"type": "task"})
-        )
+        self.base_filter = dict(base_filter)
+        #: canonical form of ``base_filter``, computed once: the middle
+        #: component of every ``("db_query", ..., pipeline)`` cache key
+        self.base_filter_key = canonical_filter_key(self.base_filter)
         self.default_page_size = default_page_size
         self._lock = threading.Lock()
         self._requests: dict[str, int] = {}
@@ -305,232 +280,36 @@ class ProvenanceGateway:
     def execute_query(self, request: QueryRequest) -> QueryReply | ErrorEnvelope:
         """Execute one :class:`QueryRequest` in any dialect.
 
-        All three dialects land on the same versioned infrastructure;
-        the dialect only chooses the *compiler*, never the store or the
-        cache.
+        The orchestrator of :mod:`repro.api.stages`: every dialect runs
+        the same stage sequence over one :class:`QueryContext` and lands
+        on the same versioned infrastructure — the dialect only chooses
+        the *compile* stage, never the store or the cache.  Counting,
+        timing and the mapping of a stage's exception onto an
+        :class:`ErrorEnvelope` happen here and nowhere else.
         """
         self._count("query")
         started = perf_counter()
         try:
-            if request.dialect not in DIALECTS:
-                return self._fail(
-                    ErrorCode.UNKNOWN_DIALECT,
-                    f"unknown dialect {request.dialect!r}; "
-                    f"expected one of {', '.join(DIALECTS)}",
+            ctx = QueryContext(self, request)
+            validate(ctx)
+            compile_, explain, execute = DIALECT_STAGES[request.dialect]
+            compile_(ctx)
+            if request.explain:
+                summary, detail = explain(ctx)
+                return QueryReply(
+                    dialect=request.dialect,
+                    kind="explain",
+                    summary=summary,
+                    scalar=detail,
                 )
-            if request.page_size is not None and request.page_size < 1:
-                return self._fail(
-                    ErrorCode.BAD_REQUEST,
-                    f"page_size must be >= 1, got {request.page_size}",
-                )
-            if request.limit is not None and request.limit < 0:
-                return self._fail(
-                    ErrorCode.BAD_REQUEST,
-                    f"limit must be >= 0, got {request.limit}",
-                )
-            # fields from another dialect are rejected, not silently
-            # ignored: a client sending limit= with a pipeline query
-            # must not believe the limit was applied
-            stray = [
-                name
-                for name in _FOREIGN_FIELDS[request.dialect]
-                if getattr(request, name) is not None
-            ]
-            if stray:
-                return self._fail(
-                    ErrorCode.BAD_REQUEST,
-                    f"field(s) {', '.join(stray)} do not apply to the "
-                    f"{request.dialect!r} dialect",
-                )
-            if request.dialect == "filter":
-                return self._filter_query(request)
-            if request.dialect == "pipeline":
-                return self._pipeline_query(request)
-            if request.dialect == "sql":
-                return self._sql_query(request)
-            return self._graph_query(request)
+            execute(ctx)
+            return page(ctx)
         except Exception as exc:  # noqa: BLE001 - API boundary: no tracebacks
-            return self._fail(ErrorCode.INTERNAL, repr(exc))
+            return self._fail(*error_parts(exc))
         finally:
             self._observe("query", perf_counter() - started)
 
-    # filter dialect: Mongo-style documents over the Query API
-    def _filter_query(self, request: QueryRequest) -> QueryReply | ErrorEnvelope:
-        if self.query_api is None:
-            return self._fail(
-                ErrorCode.BAD_REQUEST,
-                "no historical store attached; filter/pipeline dialects "
-                "need a QueryAPI",
-            )
-        if request.explain:
-            # the filter dialect has no pipeline to push; its explain is
-            # the store's own access plan (index/scan + shard routing)
-            detail: dict[str, Any] = {
-                "filter": s._plain(dict(request.filter if request.filter is not None else {})),
-                "plan": s._plain(
-                    self.query_api.explain(
-                        request.filter if request.filter is not None else {}
-                    )
-                ),
-                "store_version": self._version(),
-            }
-            return QueryReply(
-                dialect=request.dialect,
-                kind="explain",
-                summary="explain: filter access plan",
-                scalar=detail,
-            )
-        version = self._version()
-        frame = self.query_api.to_frame(
-            request.filter if request.filter is not None else {}
-        )
-        if request.sort:
-            keys = [k for k, _ in request.sort]
-            ascending = [direction >= 0 for _, direction in request.sort]
-            try:
-                frame = frame.sort_values(keys, ascending)
-            except Exception as exc:  # noqa: BLE001 - bad sort column
-                return self._fail(ErrorCode.QUERY_EXECUTION, str(exc))
-        if request.limit is not None:
-            frame = frame.head(request.limit)
-        return self._frame_reply(request, frame, version, summary=None)
-
-    # pipeline dialect: pandas-like code through the query IR
-    def _pipeline_query(self, request: QueryRequest) -> QueryReply | ErrorEnvelope:
-        if self.query_api is None:
-            return self._fail(
-                ErrorCode.BAD_REQUEST,
-                "no historical store attached; filter/pipeline dialects "
-                "need a QueryAPI",
-            )
-        if not request.code:
-            return self._fail(
-                ErrorCode.BAD_REQUEST, "pipeline dialect needs a 'code' field"
-            )
-        try:
-            pipeline = parse_query(request.code)
-        except QuerySyntaxError as exc:
-            return self._fail(ErrorCode.QUERY_SYNTAX, str(exc))
-        if request.explain:
-            return self._ir_explain(request, pipeline)
-        return self._run_pipeline(request, pipeline)
-
-    # sql dialect: SELECT text compiled onto the same query IR, so it
-    # shares the pipeline dialect's executor, pushdown and cache entries
-    def _sql_query(self, request: QueryRequest) -> QueryReply | ErrorEnvelope:
-        if self.query_api is None:
-            return self._fail(
-                ErrorCode.BAD_REQUEST,
-                "no historical store attached; the sql dialect needs a "
-                "QueryAPI",
-            )
-        if not request.sql:
-            return self._fail(
-                ErrorCode.BAD_REQUEST, "sql dialect needs a 'sql' field"
-            )
-        try:
-            pipeline = compile_sql(request.sql)
-        except SqlSyntaxError as exc:
-            return self._fail(
-                ErrorCode.QUERY_SYNTAX, str(exc), detail=exc.diagnostic()
-            )
-        except SqlError as exc:
-            # resolution / unsupported-feature failures: the statement is
-            # well-formed SQL the subset rejects, with a pointed reason
-            return self._fail(
-                ErrorCode.BAD_REQUEST, str(exc), detail=exc.diagnostic()
-            )
-        if request.explain:
-            return self._ir_explain(request, pipeline)
-        return self._run_pipeline(request, pipeline)
-
-    def _ir_explain(
-        self, request: QueryRequest, pipeline: "qast.Pipeline"
-    ) -> QueryReply | ErrorEnvelope:
-        """Compile-then-plan without executing: the compiled IR, the
-        pushdown prefilter, the operator-pushdown plan (which steps run
-        shard-side vs at the coordinator), the store's routing-aware
-        plan, and whether the shared cache already holds this
-        pipeline's result.  Shared by the sql and pipeline dialects —
-        they compile onto the same IR, so they plan identically."""
-        version = self._version()
-        prefilter = pipeline_prefilter(pipeline)
-        merged = merge_filters(self.base_filter, prefilter)
-        key = pipeline_cache_key(_filter_cache_key(self.base_filter), pipeline)
-        cached = (
-            key is not None
-            and version is not None
-            and self.service.query_cache.peek(key, version)
-        )
-        detail: dict[str, Any] = {
-            "pipeline": render_query(pipeline),
-            "steps": pipeline.describe(),
-            "pushdown": s._plain(prefilter),
-            "plan": s._plain(self.query_api.explain(merged)),
-            "cache": "hit" if cached else "miss",
-            "store_version": version,
-        }
-        if request.sql is not None:
-            detail["sql"] = request.sql
-        if request.code is not None:
-            detail["code"] = request.code
-        plan = (
-            plan_pushdown(pipeline, self.base_filter)
-            if getattr(self.query_api.database, "execute_partial", None)
-            else None
-        )
-        if plan is not None:
-            detail["pushdown_mode"] = plan.mode
-            detail["pushed_steps"] = list(plan.pushed_steps)
-            detail["coordinator_steps"] = list(plan.coordinator_steps)
-        else:
-            detail["pushdown_mode"] = None
-            detail["pushed_steps"] = []
-            detail["coordinator_steps"] = [
-                step_label(step) for step in pipeline.steps
-            ]
-        return QueryReply(
-            dialect=request.dialect,
-            kind="explain",
-            summary=f"explain: {pipeline.describe()}",
-            scalar=detail,
-        )
-
-    def _run_pipeline(
-        self, request: QueryRequest, pipeline: "qast.Pipeline"
-    ) -> QueryReply | ErrorEnvelope:
-        """Execute a compiled pipeline through the shared engine and
-        shape the reply.  The pipeline and sql dialects both land here,
-        which is what makes their cache entries identical."""
-        try:
-            run = run_cached_pipeline(
-                self.query_api,
-                pipeline,
-                base_filter=self.base_filter,
-                cache=self.service.query_cache,
-            )
-        except QueryExecutionError as exc:
-            return self._fail(ErrorCode.QUERY_EXECUTION, str(exc))
-        self._record_pushdown(run)
-        if isinstance(run.result, DataFrame):
-            return self._frame_reply(
-                request, run.result, run.version, summary=run.summary
-            )
-        if isinstance(run.result, list):
-            return QueryReply(
-                dialect=request.dialect,
-                kind="scalar",
-                summary=run.summary,
-                scalar=[s._plain(v) for v in run.result],
-            )
-        return QueryReply(
-            dialect=request.dialect,
-            kind="scalar",
-            summary=run.summary,
-            scalar=s._plain(run.result),
-        )
-
-    def _record_pushdown(self, run: Any) -> None:
+    def record_pushdown(self, run: "PipelineRun") -> None:
         """Fold one execution's pushdown decision into the stats counters."""
         info = run.pushdown
         if info is None:
@@ -548,56 +327,6 @@ class ProvenanceGateway:
                     if stat in info:
                         self._pushdown_totals[stat] += int(info[stat])
                 self._pushdown_last = dict(info)
-
-    # graph dialect: structured traversal over the lineage index
-    def _graph_query(self, request: QueryRequest) -> QueryReply | ErrorEnvelope:
-        if not request.operation:
-            return self._fail(
-                ErrorCode.BAD_REQUEST, "graph dialect needs an 'operation' field"
-            )
-        if request.explain:
-            # graph answers come straight from the in-memory lineage
-            # index — there is no scatter path and nothing to push down
-            return QueryReply(
-                dialect=request.dialect,
-                kind="explain",
-                summary=f"explain: graph {request.operation}",
-                scalar={
-                    "operation": request.operation,
-                    "source": "lineage-index",
-                    "pushdown_mode": None,
-                    "pushed_steps": [],
-                    "coordinator_steps": [f"graph:{request.operation}"],
-                    "index_version": self._graph_version(),
-                },
-            )
-        # graph answers come from the lineage index, so graph cursors
-        # pin to ITS monotonic applied-document counter: an index update
-        # between pages goes CURSOR_STALE exactly like a store write
-        # does for the other dialects
-        version = self._graph_version()
-        result = self.service.graph_tool.invoke(
-            operation=request.operation,
-            task_id=request.task_id,
-            target=request.target,
-            depth=request.depth,
-            workflow_id=request.workflow_id,
-        )
-        if not result.ok:
-            error = result.error or result.summary
-            if "unknown task" in (error or ""):
-                return self._fail(ErrorCode.UNKNOWN_TASK, error)
-            return self._fail(ErrorCode.BAD_REQUEST, f"{result.summary}: {error}")
-        if isinstance(result.data, DataFrame):
-            return self._frame_reply(
-                request, result.data, version, summary=result.summary
-            )
-        return QueryReply(
-            dialect=request.dialect,
-            kind="scalar",
-            summary=result.summary,
-            scalar=s._plain(result.data),
-        )
 
     # -- lineage view -------------------------------------------------------------
     def lineage_view(self, request: LineageRequest) -> LineageReply | ErrorEnvelope:
@@ -699,104 +428,3 @@ class ProvenanceGateway:
                     self._errors.get(ErrorCode.NOT_ACCEPTABLE, 0) + 1
                 )
         return content_type, text
-
-    # -- pagination --------------------------------------------------------------
-    def _version(self) -> int | None:
-        if self.query_api is None:
-            return None
-        return store_version(self.query_api.database)
-
-    def _graph_version(self) -> int | None:
-        counter = getattr(self.service.lineage, "applied_count", None)
-        return int(counter) if counter is not None else None
-
-    def _fingerprint(self, request: QueryRequest) -> str:
-        pinned = QueryRequest(
-            dialect=request.dialect,
-            filter=request.filter,
-            sort=request.sort,
-            limit=request.limit,
-            code=request.code,
-            sql=request.sql,
-            explain=request.explain,
-            operation=request.operation,
-            task_id=request.task_id,
-            target=request.target,
-            depth=request.depth,
-            workflow_id=request.workflow_id,
-        )
-        return hashlib.sha256(s.to_json(pinned).encode()).hexdigest()[:16]
-
-    def _frame_reply(
-        self,
-        request: QueryRequest,
-        frame: DataFrame,
-        version: int | None,
-        *,
-        summary: str | None,
-    ) -> QueryReply | ErrorEnvelope:
-        total = len(frame)
-        fingerprint = self._fingerprint(request)
-        pinned_version = version if version is not None else 0
-        offset = 0
-        if request.cursor is not None:
-            try:
-                cursor = Cursor.decode(request.cursor)
-            except s.SchemaViolation as exc:
-                return self._fail(ErrorCode.CURSOR_INVALID, str(exc))
-            if cursor.fingerprint != fingerprint:
-                return self._fail(
-                    ErrorCode.CURSOR_INVALID,
-                    "cursor does not belong to this query",
-                )
-            if cursor.version != pinned_version:
-                return self._fail(
-                    ErrorCode.CURSOR_STALE,
-                    "the store changed since this cursor was issued; "
-                    "restart the query from the first page",
-                    detail={
-                        "cursor_version": cursor.version,
-                        "store_version": pinned_version,
-                    },
-                )
-            offset = cursor.offset
-        if request.page_size is None and request.cursor is None:
-            # unpaginated: the whole result in one reply
-            return QueryReply(
-                dialect=request.dialect,
-                kind="frame",
-                summary=summary,
-                frame=FramePayload.from_frame(frame),
-                page=Page(offset=0, total=total, returned=total),
-            )
-        size = request.page_size or self.default_page_size
-        end = min(offset + size, total)
-        window = (
-            frame.take(list(range(offset, end))) if offset < total else frame.head(0)
-        )
-        returned = len(window)
-        next_cursor = None
-        if offset + returned < total:
-            next_cursor = Cursor(
-                fingerprint=fingerprint,
-                offset=offset + returned,
-                version=pinned_version,
-            ).encode()
-        return QueryReply(
-            dialect=request.dialect,
-            kind="frame",
-            summary=summary,
-            frame=FramePayload.from_frame(window),
-            page=Page(
-                offset=offset,
-                total=total,
-                returned=returned,
-                next_cursor=next_cursor,
-            ),
-        )
-
-
-def _filter_cache_key(filt: dict[str, Any]) -> Any:
-    from repro.query.cache import canonical_filter_key
-
-    return canonical_filter_key(filt)

@@ -37,21 +37,10 @@ from typing import Any, Mapping
 
 from repro.dataframe import DataFrame
 from repro.provenance.graph import ProvenanceGraph
-from repro.query.cache import MISS, QueryCache, canonical_filter_key
+from repro.query.cache import QueryCache, canonical_filter_key, store_version
 from repro.storage import StorageBackend
 
 __all__ = ["QueryAPI", "store_version"]
-
-
-def store_version(database: Any) -> int | None:
-    """The backend's monotonic write stamp, or None when unsupported."""
-    reader = getattr(database, "version", None)
-    if reader is None:
-        return None
-    try:
-        return int(reader())
-    except Exception:  # noqa: BLE001 - a broken stamp must only disable caching
-        return None
 
 
 class QueryAPI:
@@ -106,19 +95,14 @@ class QueryAPI:
         dashboards poll these tallies far more often than provenance
         arrives, and a version bump invalidates exactly on write.
         """
-        version = store_version(self.database)
-        key = None
-        if version is not None:
-            filter_key = canonical_filter_key(filt)
-            if filter_key is not None:
-                key = ("counts", field, filter_key)
-                cached = self.cache.get(key, version)
-                if cached is not MISS:
-                    return dict(cached)
-        result = self.database.field_counts(field, filt)
-        if key is not None:
-            self.cache.put(key, version, dict(result))
-        return result
+        filter_key = canonical_filter_key(filt)
+        tallies, _hit, _version = self.cache.read_through(
+            ("counts", field, filter_key) if filter_key is not None else None,
+            self.database,
+            lambda: self.database.field_counts(field, filt),
+        )
+        # fresh dict per call: mutating an answer must not poison hits
+        return dict(tallies)
 
     def status_counts(self) -> dict[str, int]:
         return self.counts("status")
@@ -130,18 +114,14 @@ class QueryAPI:
         answer cannot poison later hits; the documents themselves follow
         the store's own copy discipline.
         """
-        version = store_version(self.database)
-        key = ("failed_tasks",) if version is not None else None
-        if key is not None:
-            cached = self.cache.get(key, version)
-            if cached is not MISS:
-                # fresh dict per document, matching find()'s own copy
-                # discipline — mutating an answer must not poison hits
-                return [dict(doc) for doc in cached]
-        result = self.database.find({"status": "FAILED"})
-        if key is not None:
-            self.cache.put(key, version, [dict(doc) for doc in result])
-        return result
+        docs, _hit, _version = self.cache.read_through(
+            ("failed_tasks",),
+            self.database,
+            lambda: self.database.find({"status": "FAILED"}),
+        )
+        # fresh dict per document, matching find()'s own copy
+        # discipline — mutating an answer must not poison hits
+        return [dict(doc) for doc in docs]
 
     def explain(self, filt: Mapping[str, Any] | None = None) -> dict[str, Any]:
         """Query plan the store would use for ``filt``.
@@ -175,21 +155,14 @@ class QueryAPI:
         (see :mod:`repro.query.cache`), never serve stale rows.
         DataFrames are immutable, so cache hits share one object safely.
         """
-        version = store_version(self.database)
-        key = None
-        if version is not None:
-            filter_key = canonical_filter_key(filt)
-            # unhashable filter leaves (sets, arrays) cannot be keyed
-            # distinctly — bypass rather than collapse onto one entry
-            if filter_key is not None:
-                key = ("to_frame", filter_key)
-                frame = self.cache.get(key, version)
-                if frame is not MISS:
-                    return frame
-        docs = self.database.find(filt)
-        frame = DataFrame.from_records(docs, flatten=True)
-        if key is not None:
-            self.cache.put(key, version, frame)
+        # unhashable filter leaves (sets, arrays) cannot be keyed
+        # distinctly — bypass rather than collapse onto one entry
+        filter_key = canonical_filter_key(filt)
+        frame, _hit, _version = self.cache.read_through(
+            ("to_frame", filter_key) if filter_key is not None else None,
+            self.database,
+            lambda: DataFrame.from_records(self.database.find(filt), flatten=True),
+        )
         return frame
 
     def graph(self, filt: Mapping[str, Any] | None = None) -> ProvenanceGraph:

@@ -18,7 +18,8 @@ provenance arrives.  :class:`QueryCache` memoises query results keyed on
   write hooks.
 
 Usage discipline (what makes this race-free against concurrent
-writers): read ``store.version()`` **before** executing the query and
+writers, and what :meth:`QueryCache.read_through` does for every
+caller): read ``store.version()`` **before** executing the query and
 store the result under that pre-read stamp.  A write that lands during
 execution bumps the version, so the (possibly torn) result is cached
 under a stamp that can never match again — stale entries are
@@ -40,9 +41,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Mapping
+from typing import Any, Callable, Hashable, Mapping
 
-__all__ = ["QueryCache", "canonical_filter_key", "MISS"]
+__all__ = ["QueryCache", "canonical_filter_key", "store_version", "MISS"]
 
 
 class _Miss:
@@ -55,6 +56,17 @@ class _Miss:
 
 
 MISS = _Miss()
+
+
+def store_version(database: Any) -> int | None:
+    """The backend's monotonic write stamp, or None when unsupported."""
+    reader = getattr(database, "version", None)
+    if reader is None:
+        return None
+    try:
+        return int(reader())
+    except Exception:  # noqa: BLE001 - a broken stamp must only disable caching
+        return None
 
 
 def canonical_filter_key(filt: Mapping[str, Any] | None) -> Hashable | None:
@@ -89,10 +101,12 @@ def _canon(value: Any) -> Hashable:
 class QueryCache:
     """Thread-safe LRU cache of query results keyed by (key, version).
 
-    One instance fronts one store.  ``get``/``put`` take the store
-    version explicitly so the caller controls the read-before-execute
-    ordering (see module docstring).  A stale entry (same key, older
-    version) is evicted on sight and counted as an invalidation.
+    One instance fronts one store.  :meth:`read_through` is the one
+    place the read-before-execute ordering lives (see module docstring)
+    and the only entry point code outside this module uses — provlint's
+    ``cache-read-through`` rule holds it to that; ``get``/``put`` are
+    its halves.  A stale entry (same key, older version) is evicted on
+    sight and counted as an invalidation.
     """
 
     def __init__(self, max_entries: int = 512):
@@ -106,6 +120,30 @@ class QueryCache:
         self._invalidations = 0
 
     # -- core ------------------------------------------------------------------
+    def read_through(
+        self, key: Hashable | None, store: Any, compute: Callable[[], Any]
+    ) -> tuple[Any, bool, int | None]:
+        """``(value, hit, version)`` for ``key`` against ``store``.
+
+        The store's version is read **before** the cache and before
+        ``compute()`` reads the store, and a computed value is stored
+        under that pre-read stamp, so a write racing the computation
+        strands the entry under a version that never matches again.
+        ``key=None`` (unhashable query) or a store without ``version()``
+        bypasses the cache; an exception from ``compute`` propagates and
+        caches nothing.  The value handed back on a hit is the stored
+        object: callers returning mutable values copy on the way out.
+        """
+        version = store_version(store)
+        if key is None or version is None:
+            return compute(), False, version
+        value = self.get(key, version)
+        if value is not MISS:
+            return value, True, version
+        value = compute()
+        self.put(key, version, value)
+        return value, False, version
+
     def get(self, key: Hashable | None, version: int) -> Any:
         """Cached value for ``key`` at ``version``, or :data:`MISS`."""
         if key is None:

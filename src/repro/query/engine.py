@@ -3,16 +3,18 @@
 Three surfaces execute query-IR pipelines over the historical store:
 the gateway's ``pipeline`` dialect, its ``sql`` dialect (which compiles
 to the same IR), and the agent's NL database tool.  All of them must
-observe the same discipline — store version read *before* the store
-read, cache key shape ``("db_query", base_filter_key, pipeline)``,
-prefilter pushdown with a full-frame retry, list results copied on both
-sides of the cache — or they stop sharing entries and the versioned
-invalidation guarantees silently erode.  :func:`run_cached_pipeline` is
-that discipline in one place.
+observe the same discipline — cache key shape
+``("db_query", base_filter_key, pipeline)`` read through
+:meth:`QueryCache.read_through <repro.query.cache.QueryCache.read_through>`
+(store version *before* the store read), prefilter pushdown with a
+full-frame retry, list results copied on the way out of the cache — or
+they stop sharing entries and the versioned invalidation guarantees
+silently erode.  :func:`run_cached_pipeline` is that discipline in one
+place.
 
-Not exported from :mod:`repro.query`: this module reaches into
-:mod:`repro.provenance` and is serving infrastructure, not part of the
-IR itself.
+Not exported from :mod:`repro.query`: this module drives a
+:class:`~repro.provenance.query_api.QueryAPI` and is serving
+infrastructure, not part of the IR itself.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Mapping
 
+from repro.dataframe import DataFrame
+from repro.errors import QueryExecutionError
 from repro.query import ast as q
-from repro.query.cache import MISS, QueryCache, canonical_filter_key
+from repro.query.cache import QueryCache, canonical_filter_key
 from repro.query.executor import execute_query
 from repro.query.partial import combine_partials
 from repro.query.pushdown import merge_filters, pipeline_prefilter, plan_pushdown
 
 __all__ = [
+    "CachedResult",
     "PipelineRun",
     "run_cached_pipeline",
     "pipeline_cache_key",
@@ -36,8 +41,6 @@ __all__ = [
 
 def describe_result(result: Any) -> str:
     """One-line human summary of an executed pipeline's result."""
-    from repro.dataframe import DataFrame
-
     if isinstance(result, DataFrame):
         return f"{len(result)} row(s), columns: {', '.join(result.columns)}"
     if isinstance(result, list):
@@ -64,6 +67,24 @@ def pipeline_cache_key(
     return key
 
 
+class CachedResult:
+    """What one ``db_query`` cache entry holds.
+
+    ``summary`` and ``result`` never change once set.  ``payload`` is a
+    slot for the serving layer: the wire form of an immutable frame
+    ``result`` depends on nothing but that frame, so the gateway builds
+    it once and leaves it here for every later hit on the entry — it
+    is dropped with the entry when the store version moves on.
+    """
+
+    __slots__ = ("summary", "result", "payload")
+
+    def __init__(self, result: Any):
+        self.summary = describe_result(result)
+        self.result = result
+        self.payload: Any = None
+
+
 @dataclass(frozen=True)
 class PipelineRun:
     """One executed pipeline: what happened and under which store stamp."""
@@ -78,6 +99,9 @@ class PipelineRun:
     #: ``coordinator_steps`` plus merge stats, with a ``fallback``
     #: reason when the classic path had to answer instead
     pushdown: dict[str, Any] | None = None
+    #: the cache entry behind ``result`` (private to this call when the
+    #: query bypassed the cache)
+    entry: CachedResult | None = None
 
 
 def run_cached_pipeline(
@@ -102,25 +126,40 @@ def run_cached_pipeline(
     Raises :class:`~repro.errors.QueryExecutionError` on failure (never
     caches one).
     """
-    from repro.provenance.query_api import store_version
-
     if cache is None:
         cache = query_api.cache
     if base_filter_key is None:
         base_filter_key = canonical_filter_key(base_filter)
-    # version BEFORE the read: a write racing this call strands the
-    # entry under a stamp that never matches again
-    version = store_version(query_api.database)
-    key = pipeline_cache_key(base_filter_key, pipeline) \
-        if version is not None else None
-    if key is not None:
-        cached = cache.get(key, version)
-        if cached is not MISS:
-            summary, result = cached
-            # copy list results so a caller mutating its answer cannot
-            # poison later hits (frames/scalars are immutable)
-            result = list(result) if isinstance(result, list) else result
-            return PipelineRun(summary, result, "hit", version)
+    push_info: dict[str, Any] | None = None
+
+    def compute() -> CachedResult:
+        nonlocal push_info
+        result, push_info = _execute(
+            query_api, pipeline, base_filter, pushdown, operator_pushdown
+        )
+        return CachedResult(result)
+
+    entry, hit, version = cache.read_through(
+        pipeline_cache_key(base_filter_key, pipeline), query_api.database, compute
+    )
+    result = entry.result
+    if isinstance(result, list):
+        # copy list results so a caller mutating its answer cannot
+        # poison later hits (frames/scalars are immutable)
+        result = list(result)
+    return PipelineRun(
+        entry.summary, result, "hit" if hit else "miss", version, push_info, entry
+    )
+
+
+def _execute(
+    query_api: Any,
+    pipeline: q.Pipeline,
+    base_filter: Mapping[str, Any],
+    pushdown: bool,
+    operator_pushdown: bool,
+) -> tuple[Any, dict[str, Any] | None]:
+    """``(result, pushdown decision)`` of one uncached execution."""
     push_info: dict[str, Any] | None = None
     if pushdown and operator_pushdown:
         runner = getattr(query_api.database, "execute_partial", None)
@@ -136,21 +175,14 @@ def run_cached_pipeline(
             except Exception:  # noqa: BLE001 - classic path reproduces errors
                 combined, push_info["fallback"] = None, "scatter failed"
             if combined is not None and combined.ok:
-                result = combined.result
                 push_info.update(combined.stats)
-                summary = describe_result(result)
-                if key is not None:
-                    stored = list(result) if isinstance(result, list) else result
-                    cache.put(key, version, (summary, stored))
-                return PipelineRun(summary, result, "miss", version, push_info)
+                return combined.result, push_info
             if combined is not None:
                 push_info["fallback"] = combined.reason or "unsupported"  # provlint: disable=falsy-or-default - empty reason means unspecified
     prefilter = pipeline_prefilter(pipeline) if pushdown else {}
     frame = query_api.to_frame(merge_filters(base_filter, prefilter))
-    from repro.errors import QueryExecutionError
-
     try:
-        result = execute_query(pipeline, frame)
+        return execute_query(pipeline, frame), push_info
     except QueryExecutionError:
         if not prefilter:
             raise
@@ -158,9 +190,4 @@ def run_cached_pipeline(
         # excluded documents; retry over the full document set so
         # pushdown never changes observable behaviour
         frame = query_api.to_frame(dict(base_filter))
-        result = execute_query(pipeline, frame)
-    summary = describe_result(result)
-    if key is not None:
-        stored = list(result) if isinstance(result, list) else result
-        cache.put(key, version, (summary, stored))
-    return PipelineRun(summary, result, "miss", version, push_info)
+        return execute_query(pipeline, frame), push_info

@@ -34,6 +34,7 @@ from typing import Any
 from repro.errors import QuerySyntaxError
 from repro.query import ast as q
 from repro.dataframe.aggregations import is_known as is_known_agg
+from repro.utils.memo import text_memo
 
 __all__ = ["parse_query", "tokenize"]
 
@@ -536,8 +537,12 @@ class _Parser:
         raise QuerySyntaxError(f"bad literal {tok.text!r} at position {tok.pos}")
 
 
+@text_memo
 def parse_query(code: str) -> q.Pipeline:
-    """Parse query code into a Pipeline, or raise QuerySyntaxError."""
+    """Parse query code into a Pipeline, or raise QuerySyntaxError.
+
+    A repeated text answers from a bounded memo (:mod:`repro.utils.memo`).
+    """
     code = code.strip()
     if not code:
         raise QuerySyntaxError("empty query")

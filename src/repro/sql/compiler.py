@@ -29,12 +29,18 @@ from repro.sql import ast as sa
 from repro.sql.errors import SqlUnsupportedError
 from repro.sql.parser import parse_sql
 from repro.sql.semantics import check_statement
+from repro.utils.memo import text_memo
 
 __all__ = ["compile_sql", "compile_statement"]
 
 
+@text_memo
 def compile_sql(source: str) -> q.Pipeline:
-    """SQL text -> query-IR pipeline; raises a positioned :class:`SqlError`."""
+    """SQL text -> query-IR pipeline; raises a positioned :class:`SqlError`.
+
+    A repeated statement answers from a bounded memo
+    (:mod:`repro.utils.memo`); the result cache stays keyed on the IR.
+    """
     statement = check_statement(parse_sql(source), source)
     return compile_statement(statement, source)
 

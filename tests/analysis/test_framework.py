@@ -21,6 +21,7 @@ from repro.analysis.suppressions import scan_suppressions
 
 EXPECTED_RULES = {
     "blocking-call-under-lock",
+    "cache-read-through",
     "exception-contract",
     "falsy-or-default",
     "lock-ordering",

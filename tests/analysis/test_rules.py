@@ -749,3 +749,80 @@ class TestWalWriteDiscipline:
             },
         )
         assert result.findings == []
+
+
+class TestCacheReadThrough:
+    def test_hand_copied_get_put_fires(self, tmp_path):
+        # the shape three call sites carried until read_through: here
+        # with the version read AFTER the store read, the bug it invites
+        result = run_on(
+            tmp_path,
+            **{
+                "query_api.py": """\
+                class QueryAPI:
+                    def to_frame(self, filt):
+                        docs = self.database.find(filt)
+                        version = self.database.version()
+                        cached = self.cache.get(("to_frame", filt), version)
+                        if cached is not MISS:
+                            return cached
+                        frame = build(docs)
+                        self.cache.put(("to_frame", filt), version, frame)
+                        return frame
+                """
+            },
+        )
+        assert rules_of(result) == ["cache-read-through"] * 2
+        assert [f.line for f in result.findings] == [5, 9]
+        assert "read_through" in result.findings[0].hint
+
+    def test_bare_and_nested_receivers_fire(self, tmp_path):
+        result = run_on(
+            tmp_path,
+            **{
+                "engine.py": """\
+                def run(cache, service, key, version):
+                    hit = cache.get(key, version)
+                    service.query_cache.put(key, version, hit)
+                """
+            },
+        )
+        assert rules_of(result) == ["cache-read-through"] * 2
+
+    def test_read_through_is_clean(self, tmp_path):
+        result = run_on(
+            tmp_path,
+            **{
+                "query_api.py": """\
+                class QueryAPI:
+                    def to_frame(self, filt):
+                        frame, _hit, _version = self.cache.read_through(
+                            ("to_frame", filt), self.database,
+                            lambda: build(self.database.find(filt)),
+                        )
+                        return frame
+                """
+            },
+        )
+        assert result.findings == []
+
+    def test_cache_module_itself_and_plain_dict_memos_are_exempt(self, tmp_path):
+        result = run_on(
+            tmp_path,
+            **{
+                "query__cache.py": """\
+                class QueryCache:
+                    def read_through(self, key, store, compute):
+                        version = store.version()
+                        value = self.cache.get(key, version)
+                        self.cache.put(key, version, value)
+                """,
+                "prompts.py": """\
+                _BUILDER_CACHE = {}
+
+                def cached_builder(config):
+                    return _BUILDER_CACHE.get(config)
+                """,
+            },
+        )
+        assert result.findings == []

@@ -100,6 +100,61 @@ class TestQueryCacheCore:
         assert len(cache) <= 64
 
 
+class TestReadThrough:
+    """``read_through`` is the version-before-read discipline itself."""
+
+    def test_miss_computes_and_stores_then_hit_skips_compute(self):
+        db = ProvenanceDatabase()
+        db.insert(_doc(1))
+        cache, calls = QueryCache(), []
+
+        def compute():
+            calls.append(1)
+            return "value"
+
+        assert cache.read_through("k", db, compute) == ("value", False, db.version())
+        assert cache.read_through("k", db, compute) == ("value", True, db.version())
+        assert len(calls) == 1
+        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
+
+    def test_version_is_read_before_compute_reads_the_store(self):
+        # a write landing DURING the computation must strand the entry
+        # under the pre-read stamp: the next read recomputes
+        db = ProvenanceDatabase()
+        db.insert(_doc(1))
+        cache = QueryCache()
+
+        def racing_compute():
+            rows = len(db.find({}))
+            db.insert(_doc(2))  # the concurrent writer
+            return rows
+
+        value, hit, version = cache.read_through("k", db, racing_compute)
+        assert (value, hit) == (1, False) and version == db.version() - 1
+        value, hit, version = cache.read_through("k", db, lambda: len(db.find({})))
+        assert (value, hit, version) == (2, False, db.version())
+        assert cache.stats()["invalidations"] == 1
+
+    def test_none_key_and_versionless_store_bypass(self):
+        db = ProvenanceDatabase()
+        cache = QueryCache()
+        assert cache.read_through(None, db, lambda: 1) == (1, False, db.version())
+        assert cache.read_through("k", object(), lambda: 2) == (2, False, None)
+        assert len(cache) == 0 and cache.stats()["misses"] == 0
+
+    def test_failed_compute_caches_nothing(self):
+        db = ProvenanceDatabase()
+        cache = QueryCache()
+
+        def boom():
+            raise RuntimeError("store read failed")
+
+        with pytest.raises(RuntimeError):
+            cache.read_through("k", db, boom)
+        assert len(cache) == 0
+        assert cache.read_through("k", db, lambda: "ok") == ("ok", False, db.version())
+
+
 class TestCanonicalFilterKey:
     def test_order_insensitive(self):
         assert canonical_filter_key({"a": 1, "b": 2}) == canonical_filter_key(

@@ -201,6 +201,52 @@ def test_async_gateway_keeps_falsy_admission():
     assert server.admission is admission  # never started; nothing to stop
 
 
+def test_explicit_empty_base_filter_means_every_document():
+    """``{}`` is a filter (match everything), not "use the default".
+
+    The database tool and the gateway both decide the shared
+    ``("db_query", base_filter_key, pipeline)`` cache key from this
+    value; ``base_filter or {...}`` turned an explicit ``{}`` into
+    ``{"type": "task"}`` in both.
+    """
+    from repro.agent.context_manager import ContextManager
+    from repro.agent.service import AgentService
+    from repro.agent.tools.db_query import DatabaseQueryTool
+    from repro.api.gateway import ProvenanceGateway
+    from repro.api.schemas import QueryRequest
+    from repro.provenance.query_api import QueryAPI
+    from repro.query.cache import canonical_filter_key
+    from repro.storage import ProvenanceDatabase
+
+    store = ProvenanceDatabase()
+    store.insert_many([
+        {"type": "task", "task_id": "t1"},
+        {"type": "workflow", "workflow_id": "w1"},
+    ])
+    ctx = CaptureContext()
+    api = QueryAPI(store)
+    tool = DatabaseQueryTool(
+        api, ContextManager(ctx.broker), LLMServer(), base_filter={}
+    )
+    assert tool.base_filter == {}
+    assert DatabaseQueryTool(api, tool.context_manager, tool.llm).base_filter == {
+        "type": "task"
+    }
+
+    service = AgentService(ctx, llm=LLMServer(), query_api=api)
+    try:
+        everything = ProvenanceGateway(service, base_filter={}, publish_mcp=False)
+        default = ProvenanceGateway(service, publish_mcp=False)
+        assert everything.base_filter == {}
+        assert everything.base_filter_key == canonical_filter_key({})
+        assert default.base_filter == {"type": "task"}
+        count = QueryRequest(dialect="pipeline", code="len(df)")
+        assert everything.execute_query(count).scalar == 2
+        assert default.execute_query(count).scalar == 1
+    finally:
+        service.close()
+
+
 # -- the lint is the regression net -----------------------------------------
 #
 # The tests above pin individual call sites; the seeded fixtures below
