@@ -29,11 +29,11 @@ import numpy as np
 
 from repro.agent.guidelines import GuidelineStore
 from repro.agent.schema import DynamicDataflowSchema
-from repro.dataframe import DataFrame
+from repro.dataframe import DataFrame, flatten_record
 from repro.dataframe.column import Column
 from repro.messaging.broker import Broker, Subscription
 from repro.messaging.message import Envelope
-from repro.provenance.messages import TaskProvenanceMessage
+from repro.provenance.messages import normalise_doc
 
 __all__ = ["ContextManager"]
 
@@ -118,13 +118,13 @@ class ContextManager:
     def ingest(self, payload: Mapping[str, Any]) -> None:
         if payload.get("type") not in self._record_types:
             return
-        msg = TaskProvenanceMessage.from_dict(payload)
-        flat = msg.flatten()
+        doc = normalise_doc(payload)
+        flat = flatten_record(doc)
         with self._lock:
             self.messages_received += 1
             evicting = len(self._buffer) == self._buffer.maxlen
             self._buffer.append(flat)
-            self.schema.update(msg.to_dict())
+            self.schema.update(doc)
             if evicting:
                 # rows fell off the front: the cached frame can no
                 # longer be extended, only rebuilt

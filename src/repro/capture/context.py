@@ -15,8 +15,12 @@ from typing import Any
 
 from repro.messaging.broker import Broker, InProcessBroker
 from repro.messaging.buffer import FlushStrategy, MessageBuffer, SizeFlush
-from repro.provenance.keeper import TASK_TOPIC
-from repro.provenance.messages import TaskProvenanceMessage, TaskStatus
+from repro.provenance.messages import (
+    TASK_TOPIC,
+    TaskProvenanceMessage,
+    TaskStatus,
+    validate_doc,
+)
 from repro.telemetry import TelemetrySampler
 from repro.utils.clock import Clock, VirtualClock
 from repro.utils.ids import new_campaign_id, new_task_id, new_workflow_id
@@ -118,10 +122,19 @@ class CaptureContext:
     def next_task_id(self, started_at: float) -> str:
         return new_task_id(started_at, next(self._task_counter))
 
-    def emit(self, message: TaskProvenanceMessage) -> None:
-        """Validate and buffer one message (asynchronous bulk streaming)."""
-        message.validate()
-        self.buffer.append(message.to_dict())
+    def emit(self, message: TaskProvenanceMessage | dict[str, Any]) -> None:
+        """Validate and buffer one message (asynchronous bulk streaming).
+
+        Takes the typed message or its wire dict (Listing 1 form); the
+        dict is buffered as given, so the producer must not mutate it
+        afterwards.
+        """
+        if isinstance(message, TaskProvenanceMessage):
+            message.validate()
+            message = message.to_dict()
+        else:
+            validate_doc(message)
+        self.buffer.append(message)
 
     def flush(self) -> None:
         self.buffer.flush()

@@ -25,17 +25,21 @@ from __future__ import annotations
 
 import functools
 import inspect
+from collections.abc import Mapping
 from typing import Any, Callable, TypeVar
 
 from repro.capture.context import CaptureContext
-from repro.provenance.messages import TaskProvenanceMessage, TaskStatus
+from repro.provenance.messages import TaskStatus
 
-__all__ = ["flow_task"]
+__all__ = ["flow_task", "capture_call", "binder_for"]
 
 F = TypeVar("F", bound=Callable[..., Any])
 
 #: Values too large to inline into provenance get summarised.
 _MAX_REPR = 512
+
+#: Exact types that are captured as they are (subclasses take the slow road).
+_PLAIN = frozenset({type(None), bool, int, float, str})
 
 
 def _capture_value(value: Any) -> Any:
@@ -43,16 +47,145 @@ def _capture_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, dict):
-        return {str(k): _capture_value(v) for k, v in value.items()}
+        return {
+            str(k): v if type(v) in _PLAIN else _capture_value(v)
+            for k, v in value.items()
+        }
     if isinstance(value, (list, tuple)):
         if len(value) <= 16:
-            return [_capture_value(v) for v in value]
+            return [v if type(v) in _PLAIN else _capture_value(v) for v in value]
         return {
             "_summary": f"sequence of {len(value)} items",
             "_head": [_capture_value(v) for v in value[:4]],
         }
     text = repr(value)
     return text if len(text) <= _MAX_REPR else text[:_MAX_REPR] + "…"
+
+
+def _capture_fields(fields: Mapping[Any, Any]) -> dict[Any, Any]:
+    """Top level of ``used``/``generated``: keys kept, values captured."""
+    return {
+        k: v if type(v) in _PLAIN else _capture_value(v) for k, v in fields.items()
+    }
+
+
+def _make_binder(fn: Callable[..., Any]) -> Callable[..., Mapping[str, Any]]:
+    """``fn``'s binder: ``(args, kwargs) -> {parameter: value}`` in signature
+    order, defaults applied, or ``TypeError`` for a call ``fn`` would reject;
+    binds nothing when ``fn`` exposes no signature."""
+    try:
+        signature = inspect.signature(fn)
+    except (TypeError, ValueError):
+        return lambda args, kwargs: {}
+    params = list(signature.parameters.values())
+    plain = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    if any(p.kind not in plain for p in params):
+
+        def bind_general(args: tuple, kwargs: Mapping[str, Any]) -> Mapping[str, Any]:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return bound.arguments
+
+        return bind_general
+
+    # only named parameters: what Signature.bind + apply_defaults would
+    # produce is one pass over the names
+    names = tuple(p.name for p in params)
+    index = {name: i for i, name in enumerate(names)}
+    n_positional = sum(p.kind is plain[0] for p in params)
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+
+    def bind_named(args: tuple, kwargs: Mapping[str, Any]) -> Mapping[str, Any]:
+        n_args = len(args)
+        if n_args > n_positional:
+            raise TypeError("too many positional arguments")
+        for key in kwargs:
+            if index.get(key, -1) < n_args:
+                raise TypeError(f"unexpected or repeated argument {key!r}")
+        bound = dict(zip(names, args))
+        for name in names[n_args:]:
+            if name in kwargs:
+                bound[name] = kwargs[name]
+            elif name in defaults:
+                bound[name] = defaults[name]
+            else:
+                raise TypeError(f"missing a required argument: {name!r}")
+        return bound
+
+    return bind_named
+
+
+#: The binder of a function, computed once per function (bounded memo).
+binder_for = functools.lru_cache(maxsize=256)(_make_binder)
+
+
+def capture_call(
+    ctx: CaptureContext,
+    activity_id: str,
+    fn: Callable[..., Any],
+    binder: Callable[..., Mapping[str, Any]],
+    args: tuple,
+    kwargs: Mapping[str, Any],
+    upstream: Any = None,
+    hostname: str | None = None,
+) -> tuple[Any, str]:
+    """Run ``fn(*args, **kwargs)`` as one captured task.
+
+    Builds the wire dict (Listing 1 key order) once and emits it;
+    returns ``(result, task_id)``.  An exception from ``fn`` is recorded
+    as a ``FAILED`` task and re-raised.  ``binder`` describes the
+    function whose parameters name the ``used`` fields — ``fn`` itself,
+    or the function ``fn`` forwards to.
+    """
+    hostname = hostname or ctx.hostname
+    try:
+        used = _capture_fields(binder(args, kwargs))
+    except TypeError:
+        used = {"_args": _capture_value(list(args)), **_capture_fields(kwargs)}
+    if upstream:
+        used["_upstream"] = list(upstream)
+
+    sampler = ctx.sampler(hostname)
+    started_at = ctx.clock.now()
+    task_id = ctx.next_task_id(started_at)
+    doc: dict[str, Any] = {
+        "task_id": task_id,
+        "campaign_id": ctx.campaign_id,
+        "workflow_id": ctx.workflow_id or "adhoc",  # provlint: disable=falsy-or-default - empty workflow id means unset
+        "activity_id": activity_id,
+        "used": used,
+        "generated": {},
+        "started_at": started_at,
+        "ended_at": None,
+        "duration": None,
+        "hostname": hostname,
+        "telemetry_at_start": sampler.sample().to_dict(),
+        "telemetry_at_end": {},
+        "status": TaskStatus.FINISHED.value,
+        "type": "task",
+    }
+
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:
+        doc["ended_at"] = ctx.clock.now()
+        doc["status"] = TaskStatus.FAILED.value
+        doc["generated"] = {"error": _capture_value(repr(exc))}
+        _emit_ended(ctx, doc, sampler)
+        raise
+    doc["ended_at"] = ctx.clock.now()
+    if isinstance(result, dict):
+        doc["generated"] = _capture_fields(result)
+    elif result is not None:
+        doc["generated"] = {"result": _capture_value(result)}
+    _emit_ended(ctx, doc, sampler)
+    return result, task_id
+
+
+def _emit_ended(ctx: CaptureContext, doc: dict[str, Any], sampler: Any) -> None:
+    doc["duration"] = doc["ended_at"] - doc["started_at"]
+    doc["telemetry_at_end"] = sampler.sample().to_dict()
+    ctx.emit(doc)
 
 
 def flow_task(
@@ -69,69 +202,18 @@ def flow_task(
 
     def decorate(fn: F) -> F:
         act_id = activity_id or fn.__name__
-        try:
-            signature = inspect.signature(fn)
-        except (TypeError, ValueError):
-            signature = None
+        binder = _make_binder(fn)
 
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             ctx = kwargs.pop("_ctx", None) or context or CaptureContext.default()
             upstream = kwargs.pop("_upstream", None)
-            hostname = kwargs.pop("_hostname", None) or ctx.hostname
-
-            used: dict[str, Any] = {}
-            if signature is not None:
-                try:
-                    bound = signature.bind(*args, **kwargs)
-                    bound.apply_defaults()
-                    used = {
-                        k: _capture_value(v) for k, v in bound.arguments.items()
-                    }
-                except TypeError:
-                    used = {"_args": _capture_value(list(args)), **{
-                        k: _capture_value(v) for k, v in kwargs.items()
-                    }}
-            if upstream:
-                used["_upstream"] = list(upstream)
-
-            sampler = ctx.sampler(hostname)
-            started_at = ctx.clock.now()
-            task_id = ctx.next_task_id(started_at)
-            tele_start = sampler.sample().to_dict()
-
-            msg = TaskProvenanceMessage(
-                task_id=task_id,
-                campaign_id=ctx.campaign_id,
-                workflow_id=ctx.workflow_id or "adhoc",  # provlint: disable=falsy-or-default - empty workflow id means unset
-                activity_id=act_id,
-                used=used,
-                started_at=started_at,
-                hostname=hostname,
-                telemetry_at_start=tele_start,
-                status=TaskStatus.RUNNING.value,
-            )
-            try:
-                result = fn(*args, **kwargs)
-            except Exception as exc:
-                msg.ended_at = ctx.clock.now()
-                msg.status = TaskStatus.FAILED.value
-                msg.generated = {"error": _capture_value(repr(exc))}
-                msg.telemetry_at_end = sampler.sample().to_dict()
-                ctx.emit(msg)
-                raise
-            msg.ended_at = ctx.clock.now()
-            msg.status = TaskStatus.FINISHED.value
-            if isinstance(result, dict):
-                msg.generated = {k: _capture_value(v) for k, v in result.items()}
-            elif result is not None:
-                msg.generated = {"result": _capture_value(result)}
-            msg.telemetry_at_end = sampler.sample().to_dict()
-            ctx.emit(msg)
-            return result
+            hostname = kwargs.pop("_hostname", None)
+            return capture_call(
+                ctx, act_id, fn, binder, args, kwargs, upstream, hostname
+            )[0]
 
         wrapper.activity_id = act_id  # type: ignore[attr-defined]
-        wrapper.__wrapped__ = fn
         return wrapper  # type: ignore[return-value]
 
     return decorate

@@ -17,12 +17,12 @@ Two wiring styles keep the index current:
 from __future__ import annotations
 
 import threading
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.lineage.index import LineageIndex
 from repro.messaging.broker import Broker, Subscription
 from repro.messaging.message import Envelope
-from repro.provenance.keeper import normalise_payload
+from repro.provenance.keeper import normalise_batch
 
 __all__ = ["LineageService"]
 
@@ -82,51 +82,26 @@ class LineageService:
         history the *broker* retained; after a restart on a durable
         store (:class:`repro.storage.DurableStore`), the authoritative
         history is the store itself.  Every stored document goes through
-        the keeper's exact validation (:func:`normalise_payload`) so the
+        the keeper's exact validation (:func:`normalise_batch`) so the
         index accepts precisely what ingest accepted — and application
         is idempotent, so overlap with live deliveries or a broker
         replay is harmless.  Returns the number of documents applied.
         """
-        accepted: list[dict[str, Any]] = []
-        rejected = 0
-        for doc in store.all():
-            normalised = self._normalise(doc)
-            if normalised is None:
-                rejected += 1
-            else:
-                accepted.append(normalised)
-        if rejected:
+        return self._apply(store.all())
+
+    # -- ingestion ----------------------------------------------------------------
+    def _apply(self, payloads: Iterable[Mapping[str, Any]]) -> int:
+        """Keeper-identical validation, then one batched index update."""
+        accepted, rejects = normalise_batch(payloads)
+        if rejects:
             with self._lock:
-                self.rejected_count += rejected
+                self.rejected_count += len(rejects)
         if accepted:
             self.index.apply_many(accepted)
         return len(accepted)
 
-    # -- ingestion ----------------------------------------------------------------
-    def _normalise(self, payload: Mapping[str, Any]) -> dict[str, Any] | None:
-        """Keeper-identical validation (shared helper); None for rejects."""
-        msg, _reason = normalise_payload(payload)
-        return None if msg is None else msg.to_dict()
-
     def _on_message(self, envelope: Envelope) -> None:
-        doc = self._normalise(envelope.payload)
-        if doc is None:
-            with self._lock:
-                self.rejected_count += 1
-            return
-        self.index.apply(doc)
+        self._apply([envelope.payload])
 
     def _on_batch(self, envelopes: list[Envelope]) -> None:
-        docs = []
-        rejected = 0
-        for env in envelopes:
-            doc = self._normalise(env.payload)
-            if doc is None:
-                rejected += 1
-            else:
-                docs.append(doc)
-        if rejected:
-            with self._lock:
-                self.rejected_count += rejected
-        if docs:
-            self.index.apply_many(docs)
+        self._apply([env.payload for env in envelopes])

@@ -146,9 +146,12 @@ class InProcessBroker(Broker):
         self._closed = False
         self.published_count = 0
         self.delivered_count = 0
-        self.simulated_cost_s = 0.0
         self.delivery_errors: list[tuple[Envelope, BaseException]] = []
         self._log: list[Envelope] = []
+        # simulated cost: counted here on publish, sized on read
+        self._publish_calls = 0
+        self._log_bytes = 0
+        self._log_sized = 0  # how much of ``_log`` ``_log_bytes`` covers
 
     # -- publishing ------------------------------------------------------------
     #
@@ -183,7 +186,6 @@ class InProcessBroker(Broker):
                 published_at=self.clock.now(),
                 headers=headers,
             )
-            self.simulated_cost_s += self.profile.batch_cost([env.size_bytes()])
             targets = self._enqueue([env], batched=False)
         for sub in targets:
             self._drain(sub)
@@ -199,9 +201,6 @@ class InProcessBroker(Broker):
             envs = [
                 Envelope(topic=topic, payload=p, published_at=now) for p in payloads
             ]
-            self.simulated_cost_s += self.profile.batch_cost(
-                e.size_bytes() for e in envs
-            )
             targets = self._enqueue(envs, batched=True)
         for sub in targets:
             self._drain(sub)
@@ -218,9 +217,9 @@ class InProcessBroker(Broker):
         per batch, regardless of size — and per-envelope items
         otherwise.
         """
-        for env in envs:
-            self.published_count += 1
-            self._log.append(env)
+        self.published_count += len(envs)
+        self._log.extend(envs)
+        self._publish_calls += 1
         targets: list[Subscription] = []
         for sub in self._subs.values():
             matched = [e for e in envs if topic_matches(sub.pattern, e.topic)]
@@ -309,6 +308,24 @@ class InProcessBroker(Broker):
             return len(self._subs)
 
     # -- replay / introspection ------------------------------------------------------
+    @property
+    def simulated_cost_s(self) -> float:
+        """Transport cost of everything published so far under ``profile``.
+
+        Payloads are immutable once published (the :class:`Envelope`
+        contract), so sizing them here, after the fact, reads the bytes
+        that were sent.
+        """
+        with self._lock:
+            unsized = self._log[self._log_sized:]
+            self._log_bytes += sum(env.size_bytes() for env in unsized)
+            self._log_sized = len(self._log)
+            return (
+                self._publish_calls * self.profile.batch_overhead_s
+                + self.published_count * self.profile.per_message_s
+                + self._log_bytes * self.profile.per_byte_s
+            )
+
     def history(self, pattern: str = "#") -> list[Envelope]:
         """Messages retained by the broker that match ``pattern``."""
         validate_pattern(pattern)

@@ -82,7 +82,6 @@ class MessageBuffer:
         self.clock = clock if clock is not None else VirtualClock()
         self._pending: list[Mapping[str, Any]] = []
         self._oldest_at: float | None = None
-        self._last_task_id: str | None = None
         self._lock = threading.Lock()
         # flushed batches queue here and are published OUTSIDE the lock
         # (the broker delivers synchronously to subscriber callbacks; a
@@ -99,9 +98,6 @@ class MessageBuffer:
         with self._lock:
             self._pending.append(payload)
             self.appended_count += 1
-            task_id = payload.get("task_id")
-            if task_id is not None:
-                self._last_task_id = str(task_id)
             if self._oldest_at is None:
                 self._oldest_at = self.clock.now()
             flushed = self.strategy.should_flush(
@@ -142,16 +138,6 @@ class MessageBuffer:
     def pending(self) -> int:
         with self._lock:
             return len(self._pending)
-
-    def last_task_id(self) -> str | None:
-        """``task_id`` of the most recently appended payload, if any.
-
-        Retained across flushes so producers (e.g. the workflow engine)
-        can correlate the task they just emitted without reaching into
-        the buffer's internals or depending on flush timing.
-        """
-        with self._lock:
-            return self._last_task_id
 
     def _age(self) -> float:
         if self._oldest_at is None:

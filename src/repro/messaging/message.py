@@ -24,7 +24,9 @@ class Envelope:
     topic:
         Dot-separated routing key, e.g. ``"provenance.task"``.
     payload:
-        JSON-serialisable message body.
+        JSON-serialisable message body.  Immutable once published: the
+        broker retains and sizes it later, and every subscriber is handed
+        the same object.
     published_at:
         Hub-side timestamp (seconds).
     seq:

@@ -5,10 +5,11 @@ streaming hub, convert incoming messages into a unified workflow
 provenance schema based on a W3C PROV extension, and store them in a
 backend-agnostic provenance database" (paper §2.3).
 
-The keeper: validates and normalises raw payloads into
-:class:`TaskProvenanceMessage` form, upserts them into any
-:class:`~repro.storage.backend.StorageBackend` (lifecycle updates
-collapse per ``task_id``), and incrementally grows a
+The keeper: validates and normalises raw payloads into the wire dict
+(:func:`~repro.provenance.messages.normalise_doc`), upserts them into
+any :class:`~repro.storage.backend.StorageBackend` (lifecycle updates
+collapse per ``task_id``), and projects the accepted documents — on
+demand, when :attr:`ProvenanceKeeper.prov` is read — into a
 :class:`ProvDocument` with activities, the used/generated entities, and
 agent associations for the agent's own records.
 
@@ -32,41 +33,56 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 from repro.errors import SchemaViolationError
 from repro.messaging.broker import Broker, Subscription
 from repro.messaging.message import Envelope
-from repro.provenance.messages import TaskProvenanceMessage
+from repro.provenance.messages import TASK_TOPIC, normalise_doc, validate_doc
 from repro.provenance.prov import ProvDocument, RelationKind
 from repro.storage import ProvenanceDatabase, StorageBackend
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids import cycle
     from repro.lineage.index import LineageIndex
 
-__all__ = ["ProvenanceKeeper", "normalise_payload"]
+__all__ = ["ProvenanceKeeper", "normalise_payload", "normalise_batch", "TASK_TOPIC"]
 
-#: Topic the capture layer publishes task messages to.
-TASK_TOPIC = "provenance.task"
 #: Topic the anomaly detector republishes tagged messages to.
 ANOMALY_TOPIC = "provenance.anomaly"
 
 
 def normalise_payload(
     payload: Mapping[str, Any],
-) -> tuple[TaskProvenanceMessage | None, str | None]:
-    """Validate one raw payload: ``(message, None)`` or ``(None, reason)``.
+) -> tuple[dict[str, Any] | None, str | None]:
+    """Validate one raw payload: ``(document, None)`` or ``(None, reason)``.
 
-    The single definition of what the keeper accepts.  Every consumer
-    that must agree with the database's contents (the keeper's own
-    single and batch ingest, the standalone lineage service) goes
-    through here, so acceptance can never drift between them.
-    Structurally malformed payloads (``from_dict`` failures) reject the
-    same way schema violations do.
+    The single definition of what the keeper accepts, and the document
+    is the one every consumer stores.  Every consumer that must agree
+    with the database's contents (the keeper's own single and batch
+    ingest, the standalone lineage service) goes through here, so
+    acceptance can never drift between them.  Structurally malformed
+    payloads (``normalise_doc`` failures) reject the same way schema
+    violations do.
     """
     try:
-        msg = TaskProvenanceMessage.from_dict(payload)
-        msg.validate()
+        doc = normalise_doc(payload)
+        validate_doc(doc)
     except SchemaViolationError as exc:
         return None, str(exc)
     except Exception as exc:  # noqa: BLE001 - isolate malformed payloads
         return None, f"malformed payload: {exc!r}"
-    return msg, None
+    return doc, None
+
+
+def normalise_batch(
+    payloads: Iterable[Mapping[str, Any]],
+) -> tuple[list[dict[str, Any]], list[tuple[Mapping[str, Any], str]]]:
+    """Accepted documents and ``(payload, reason)`` rejects, in arrival
+    order; one bad message never discards the rest of its batch."""
+    accepted: list[dict[str, Any]] = []
+    rejects: list[tuple[Mapping[str, Any], str]] = []
+    for payload in payloads:
+        doc, reason = normalise_payload(payload)
+        if doc is None:
+            rejects.append((dict(payload), reason or "rejected"))
+        else:
+            accepted.append(doc)
+    return accepted, rejects
 
 
 _QUOTED_VALUE = re.compile(r"'[^']*'|\"[^\"]*\"")
@@ -111,7 +127,10 @@ class ProvenanceKeeper:
         self.database: StorageBackend = (
             ProvenanceDatabase() if database is None else database
         )
-        self.prov = ProvDocument() if build_prov_document else None
+        self._prov = ProvDocument() if build_prov_document else None
+        #: accepted documents not yet replayed into ``_prov`` (the very
+        #: dicts handed to the store, in acceptance order)
+        self._prov_pending: list[dict[str, Any]] = []
         #: optional live lineage index fed the same accepted documents
         #: the database receives (see repro.lineage)
         self.lineage_index = lineage_index
@@ -121,7 +140,8 @@ class ProvenanceKeeper:
         # applied atomically; without an index the store's own locking
         # suffices and ingest runs lock-free up to the backend
         self._apply_lock = threading.Lock()
-        # the PROV projection is not thread-safe on its own
+        # the PROV projection is not thread-safe on its own, and its
+        # replay order is the order batches took this lock
         self._prov_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.processed_count = 0
@@ -155,23 +175,8 @@ class ProvenanceKeeper:
         self.ingest_batch([e.payload for e in envelopes])
 
     def ingest(self, payload: Mapping[str, Any]) -> bool:
-        """Normalise and store one raw payload; False if it was rejected.
-
-        Structurally malformed payloads (``from_dict`` failures) are
-        rejected the same way schema violations are, so single and batch
-        delivery account identically in :attr:`rejected`.
-        """
-        msg, reason = normalise_payload(payload)
-        if msg is None:
-            self._record_rejects([(dict(payload), reason or "rejected")])
-            return False
-        self._store([msg.to_dict()])
-        if self.prov is not None:
-            with self._prov_lock:
-                self._record_prov(msg)
-        with self._stats_lock:
-            self.processed_count += 1
-        return True
+        """Normalise and store one raw payload; False if it was rejected."""
+        return self.ingest_batch([payload]) == 1
 
     def ingest_batch(self, payloads: Iterable[Mapping[str, Any]]) -> int:
         """Normalise and store a batch; returns the number accepted.
@@ -181,23 +186,14 @@ class ProvenanceKeeper:
         ``upsert_many`` — against a sharded store that means one
         per-shard group per batch, ingested in parallel.
         """
-        accepted: list[TaskProvenanceMessage] = []
-        rejects: list[tuple[Mapping[str, Any], str]] = []
-        for payload in payloads:
-            msg, reason = normalise_payload(payload)
-            if msg is None:
-                # one bad message must not discard the rest of the batch
-                rejects.append((dict(payload), reason or "rejected"))
-                continue
-            accepted.append(msg)
+        accepted, rejects = normalise_batch(payloads)
         if rejects:
             self._record_rejects(rejects)
         if accepted:
-            self._store([m.to_dict() for m in accepted])
-            if self.prov is not None:
+            self._store(accepted)
+            if self._prov is not None:
                 with self._prov_lock:
-                    for m in accepted:
-                        self._record_prov(m)
+                    self._prov_pending.extend(accepted)
             with self._stats_lock:
                 self.processed_count += len(accepted)
         return len(accepted)
@@ -217,11 +213,7 @@ class ProvenanceKeeper:
         """
         if self.lineage_index is None:
             return 0
-        accepted: list[dict[str, Any]] = []
-        for doc in self.database.all():
-            msg, _reason = normalise_payload(doc)
-            if msg is not None:
-                accepted.append(msg.to_dict())
+        accepted, _rejects = normalise_batch(self.database.all())
         if accepted:
             with self._apply_lock:
                 self.lineage_index.apply_many(accepted)
@@ -267,29 +259,47 @@ class ProvenanceKeeper:
             }
 
     # -- PROV projection -------------------------------------------------------------
-    def _record_prov(self, msg: TaskProvenanceMessage) -> None:
-        assert self.prov is not None
-        act_id = msg.task_id
-        self.prov.add_activity(
-            act_id,
-            started_at=msg.started_at,
-            ended_at=msg.ended_at,
-            activity=msg.activity_id,
-            record_type=msg.type,
-        )
-        for name, value in msg.used.items():
-            ent = f"{act_id}/used/{name}"
-            self.prov.add_entity(ent, name=name, value=_compact(value))
-            self.prov.used(act_id, ent)
-        for name, value in msg.generated.items():
-            ent = f"{act_id}/generated/{name}"
-            self.prov.add_entity(ent, name=name, value=_compact(value))
-            self.prov.was_generated_by(ent, act_id)
-        if msg.agent_id:
-            self.prov.add_agent(msg.agent_id, agent_type="ai-agent")
-            self.prov.was_associated_with(act_id, msg.agent_id)
-        if msg.informed_by and msg.informed_by in self.prov:
-            self.prov.relate(RelationKind.WAS_INFORMED_BY, act_id, msg.informed_by)
+    @property
+    def prov(self) -> ProvDocument | None:
+        """The W3C PROV view of everything accepted so far.
+
+        Paid for by its reader: ingest only remembers which documents it
+        accepted; reading replays the ones not yet projected, in
+        acceptance order.  ``None`` when built with
+        ``build_prov_document=False``.
+        """
+        if self._prov is None:
+            return None
+        with self._prov_lock:
+            pending, self._prov_pending = self._prov_pending, []
+            for doc in pending:
+                _record_prov(self._prov, doc)
+        return self._prov
+
+
+def _record_prov(prov: ProvDocument, doc: Mapping[str, Any]) -> None:
+    act_id = doc["task_id"]
+    prov.add_activity(
+        act_id,
+        started_at=doc["started_at"],
+        ended_at=doc["ended_at"],
+        activity=doc["activity_id"],
+        record_type=doc["type"],
+    )
+    for name, value in doc["used"].items():
+        ent = f"{act_id}/used/{name}"
+        prov.add_entity(ent, name=name, value=_compact(value))
+        prov.used(act_id, ent)
+    for name, value in doc["generated"].items():
+        ent = f"{act_id}/generated/{name}"
+        prov.add_entity(ent, name=name, value=_compact(value))
+        prov.was_generated_by(ent, act_id)
+    agent_id, informed_by = doc.get("agent_id"), doc.get("informed_by")
+    if agent_id:
+        prov.add_agent(agent_id, agent_type="ai-agent")
+        prov.was_associated_with(act_id, agent_id)
+    if informed_by and informed_by in prov:
+        prov.relate(RelationKind.WAS_INFORMED_BY, act_id, informed_by)
 
 
 def _compact(value: Any, limit: int = 120) -> str:

@@ -10,8 +10,9 @@ exactly as the W3C PROV verbs suggest.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.dataframe import flatten_record
 from repro.errors import SchemaViolationError
@@ -91,6 +92,76 @@ _REQUIRED = ("task_id", "workflow_id", "activity_id", "status", "type")
 #: Record types, extending plain tasks with the agent's own actions (§4.2).
 RECORD_TYPES = ("task", "workflow", "tool_execution", "llm_interaction")
 
+#: Topic the capture layer publishes task messages to.
+TASK_TOPIC = "provenance.task"
+
+
+def validate_doc(doc: Mapping[str, Any]) -> None:
+    """Raise :class:`SchemaViolationError` unless ``doc`` is a valid wire dict.
+
+    The single definition of validity: producers (``CaptureContext.emit``)
+    and consumers (``normalise_payload``) both check here.
+    """
+    for key in _REQUIRED:
+        if not doc.get(key):
+            raise SchemaViolationError(f"missing required field {key!r}")
+    if doc["type"] not in RECORD_TYPES:
+        raise SchemaViolationError(
+            f"unknown record type {doc['type']!r}; expected one of {RECORD_TYPES}"
+        )
+    if doc["status"] not in TaskStatus.__members__:
+        raise SchemaViolationError(f"unknown status {doc['status']!r}")
+    started_at, ended_at = doc.get("started_at"), doc.get("ended_at")
+    if started_at is not None and ended_at is not None and ended_at < started_at:
+        raise SchemaViolationError(
+            f"task {doc['task_id']}: ended_at precedes started_at"
+        )
+    if not isinstance(doc.get("used"), Mapping) or not isinstance(
+        doc.get("generated"), Mapping
+    ):
+        raise SchemaViolationError("used/generated must be mappings")
+
+
+def normalise_doc(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """The wire dict (Listing 1 key order) for any raw payload.
+
+    Ids, hostname, status and type are coerced with ``str()``;
+    ``used``/``generated``/telemetry/``tags`` are copied one level;
+    ``duration`` is recomputed; unknown top-level keys fold into ``tags``
+    so nothing is silently lost.  Raises whatever the coercions raise on a
+    structurally malformed payload — validity is :func:`validate_doc`'s job.
+    """
+    get = payload.get
+    doc = {
+        "task_id": str(get("task_id", "")),
+        "campaign_id": str(get("campaign_id", "")),
+        "workflow_id": str(get("workflow_id", "")),
+        "activity_id": str(get("activity_id", "")),
+        "used": dict(get("used") or {}),
+        "generated": dict(get("generated") or {}),
+        "started_at": get("started_at"),
+        "ended_at": get("ended_at"),
+        "duration": None,
+        "hostname": str(get("hostname", "")),
+        "telemetry_at_start": dict(get("telemetry_at_start") or {}),
+        "telemetry_at_end": dict(get("telemetry_at_end") or {}),
+        "status": str(get("status", TaskStatus.SUBMITTED.value)),
+        "type": str(get("type", "task")),
+    }
+    tags = dict(get("tags") or {})
+    known = TaskProvenanceMessage.__dataclass_fields__
+    for key, value in payload.items():
+        if key not in known and key != "duration":
+            tags[key] = value
+    if doc["started_at"] is not None and doc["ended_at"] is not None:
+        doc["duration"] = doc["ended_at"] - doc["started_at"]
+    for link in ("agent_id", "informed_by"):
+        if get(link):
+            doc[link] = get(link)
+    if tags:
+        doc["tags"] = tags
+    return doc
+
 
 @dataclass
 class TaskProvenanceMessage:
@@ -119,28 +190,7 @@ class TaskProvenanceMessage:
 
     # -- validation ------------------------------------------------------------
     def validate(self) -> None:
-        doc = self.to_dict()
-        for key in _REQUIRED:
-            if not doc.get(key):
-                raise SchemaViolationError(f"missing required field {key!r}")
-        if self.type not in RECORD_TYPES:
-            raise SchemaViolationError(
-                f"unknown record type {self.type!r}; expected one of {RECORD_TYPES}"
-            )
-        if self.status not in TaskStatus.__members__:
-            raise SchemaViolationError(f"unknown status {self.status!r}")
-        if (
-            self.started_at is not None
-            and self.ended_at is not None
-            and self.ended_at < self.started_at
-        ):
-            raise SchemaViolationError(
-                f"task {self.task_id}: ended_at precedes started_at"
-            )
-        if not isinstance(self.used, Mapping) or not isinstance(
-            self.generated, Mapping
-        ):
-            raise SchemaViolationError("used/generated must be mappings")
+        validate_doc(vars(self))
 
     # -- derived --------------------------------------------------------------
     @property
@@ -177,47 +227,9 @@ class TaskProvenanceMessage:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "TaskProvenanceMessage":
-        known = {
-            "task_id",
-            "campaign_id",
-            "workflow_id",
-            "activity_id",
-            "used",
-            "generated",
-            "started_at",
-            "ended_at",
-            "hostname",
-            "telemetry_at_start",
-            "telemetry_at_end",
-            "status",
-            "type",
-            "agent_id",
-            "informed_by",
-            "tags",
-        }
-        msg = cls(
-            task_id=str(doc.get("task_id", "")),
-            campaign_id=str(doc.get("campaign_id", "")),
-            workflow_id=str(doc.get("workflow_id", "")),
-            activity_id=str(doc.get("activity_id", "")),
-            used=dict(doc.get("used") or {}),
-            generated=dict(doc.get("generated") or {}),
-            started_at=doc.get("started_at"),
-            ended_at=doc.get("ended_at"),
-            hostname=str(doc.get("hostname", "")),
-            telemetry_at_start=dict(doc.get("telemetry_at_start") or {}),
-            telemetry_at_end=dict(doc.get("telemetry_at_end") or {}),
-            status=str(doc.get("status", TaskStatus.SUBMITTED.value)),
-            type=str(doc.get("type", "task")),
-            agent_id=doc.get("agent_id"),
-            informed_by=doc.get("informed_by"),
-            tags=dict(doc.get("tags") or {}),
-        )
-        # preserve unknown top-level keys as tags so nothing is silently lost
-        for key, value in doc.items():
-            if key not in known and key != "duration":
-                msg.tags[key] = value
-        return msg
+        fields = normalise_doc(doc)
+        del fields["duration"]  # derived, not a constructor field
+        return cls(**fields)
 
     def flatten(self) -> dict[str, Any]:
         """Dot-flattened form for the agent's in-memory context frame."""

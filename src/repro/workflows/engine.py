@@ -6,19 +6,21 @@ upstream outputs; the dependency graph is derived from the references
 engine runs tasks in topological order, assigns each to a simulated
 cluster node (least-loaded-first), advances the virtual clock by the
 task's ``cost_s``, and emits one task-provenance message per execution
-through the ``@flow_task`` machinery — including ``used._upstream``
-edges that the provenance graph understands.
+through the capture core ``@flow_task`` runs on — including
+``used._upstream`` edges that the provenance graph understands.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 import networkx as nx
 
 from repro.capture.context import CaptureContext, WorkflowRun
-from repro.capture.instrumentation import flow_task
+from repro.capture.instrumentation import binder_for, capture_call
 from repro.errors import CyclicDependencyError, TaskFailedError, WorkflowError
 
 __all__ = ["Ref", "TaskSpec", "WorkflowEngine", "WorkflowResult"]
@@ -86,24 +88,25 @@ class WorkflowEngine:
     # -- graph handling -----------------------------------------------------------
     @staticmethod
     def build_graph(tasks: list[TaskSpec]) -> nx.DiGraph:
-        by_name: dict[str, TaskSpec] = {}
-        for t in tasks:
-            if t.name in by_name:
-                raise WorkflowError(f"duplicate task name {t.name!r}")
-            by_name[t.name] = t
+        """The dependency DAG; ``graph.graph["order"]`` is its execution order."""
         g = nx.DiGraph()
         for t in tasks:
+            if t.name in g:
+                raise WorkflowError(f"duplicate task name {t.name!r}")
             g.add_node(t.name, spec=t)
         for t in tasks:
             for dep in t.dependencies():
-                if dep not in by_name:
+                if dep not in g:
                     raise WorkflowError(
                         f"task {t.name!r} depends on unknown task {dep!r}"
                     )
                 g.add_edge(dep, t.name)
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise CyclicDependencyError(f"dependency cycle: {cycle}")
+        try:
+            g.graph["order"] = list(nx.topological_sort(g))
+        except nx.NetworkXUnfeasible:
+            raise CyclicDependencyError(
+                f"dependency cycle: {nx.find_cycle(g)}"
+            ) from None
         return g
 
     # -- scheduling ------------------------------------------------------------------
@@ -131,7 +134,7 @@ class WorkflowEngine:
         workflow_id: str | None = None,
     ) -> WorkflowResult:
         graph = self.build_graph(tasks)
-        order = list(nx.topological_sort(graph))
+        order: list[str] = graph.graph["order"]
         results: dict[str, Any] = {}
         task_ids: dict[str, str] = {}
         hosts: dict[str, str] = {}
@@ -148,53 +151,20 @@ class WorkflowEngine:
                 hosts[name] = host
                 upstream_ids = [task_ids[d] for d in sorted(spec.dependencies())]
 
-                instrumented = flow_task(
-                    activity_id=spec.activity_id or spec.name,
-                    context=self.context,
-                )(self._with_simulated_cost(spec))
                 try:
-                    result = instrumented(
-                        **kwargs,
-                        _upstream=upstream_ids,
-                        _hostname=host,
+                    results[name], task_ids[name] = capture_call(
+                        self.context,
+                        spec.activity_id or spec.name,
+                        functools.partial(_run_with_cost, spec, self.context.clock),
+                        binder_for(spec.fn),
+                        (),
+                        kwargs,
+                        upstream_ids,
+                        host,
                     )
                 except Exception as exc:
                     raise TaskFailedError(name, exc) from exc
-                results[name] = result
-                task_ids[name] = self._last_emitted_task_id()
-            wf_id = run.workflow_id
-        return WorkflowResult(wf_id, results, task_ids, hosts, order)
-
-    def _with_simulated_cost(self, spec: TaskSpec):
-        """Wrap the task fn so the virtual clock advances *inside* the task.
-
-        The provenance wrapper stamps ``ended_at`` after the fn returns, so
-        advancing here makes task duration equal the simulated cost — for
-        failures too (the sleep is in a ``finally``).
-        """
-        import functools
-
-        @functools.wraps(spec.fn)
-        def timed(*args, **kwargs):
-            try:
-                return spec.fn(*args, **kwargs)
-            finally:
-                self.context.clock.sleep(spec.cost_s)
-
-        return timed
-
-    def _last_emitted_task_id(self) -> str:
-        # the buffer remembers the last appended task id across flushes;
-        # fall back to the broker log for contexts with a foreign buffer
-        task_id = self.context.buffer.last_task_id()
-        if task_id is not None:
-            return task_id
-        history = getattr(self.context.broker, "history", None)
-        if history is not None:
-            envs = self.context.broker.history("provenance.task")
-            if envs:
-                return envs[-1].payload["task_id"]
-        raise WorkflowError("could not locate emitted task id")
+        return WorkflowResult(run.workflow_id, results, task_ids, hosts, order)
 
     @staticmethod
     def _resolve(value: Any, results: Mapping[str, Any]) -> Any:
@@ -208,3 +178,16 @@ class WorkflowEngine:
                 f"task {value.task!r} result has no field {value.field!r}"
             )
         return value
+
+
+def _run_with_cost(spec: TaskSpec, clock: Any, /, **kwargs: Any) -> Any:
+    """Call the task fn so the virtual clock advances *inside* the task.
+
+    The capture core stamps ``ended_at`` after this returns, so advancing
+    here makes task duration equal the simulated cost — for failures too
+    (the sleep is in a ``finally``).
+    """
+    try:
+        return spec.fn(**kwargs)
+    finally:
+        clock.sleep(spec.cost_s)

@@ -96,6 +96,98 @@ class TestBatchAndCost:
         assert costs["mofka-like"] < costs["redis-like"] < costs["kafka-like"]
 
 
+class TestCostIsSummedWhenRead:
+    """``simulated_cost_s`` sizes the retained log on access; it must read
+    what charging every publish call eagerly would have accrued."""
+
+    @staticmethod
+    def _traffic(broker):
+        """Mixed singles and batches; returns the eager, call-by-call cost."""
+        eager = 0.0
+        for i in range(30):
+            if i % 3 == 0:
+                envs = [broker.publish("t.x", {"i": i, "pad": "p" * i}, tag=i)]
+            else:
+                envs = broker.publish_batch(
+                    "t.y", [{"i": i, "j": j, "nested": {"k": [j] * j}} for j in range(i % 7)]
+                )
+            eager += broker.profile.batch_cost(e.size_bytes() for e in envs)
+        return eager
+
+    @pytest.mark.parametrize("profile", [REDIS_LIKE, KAFKA_LIKE, MOFKA_LIKE])
+    def test_equals_the_eager_formula(self, profile):
+        broker = InProcessBroker(profile=profile)
+        eager = self._traffic(broker)
+        assert broker.simulated_cost_s == pytest.approx(eager, rel=1e-12)
+        assert broker.simulated_cost_s == broker.simulated_cost_s  # stable
+
+    @pytest.mark.parametrize("profile", [REDIS_LIKE, KAFKA_LIKE, MOFKA_LIKE])
+    def test_reads_between_publishes_change_nothing(self, profile):
+        broker = InProcessBroker(profile=profile)
+        eager = 0.0
+        for _ in range(3):
+            eager += self._traffic(broker)
+            assert broker.simulated_cost_s == pytest.approx(eager, rel=1e-12)
+
+    def test_nothing_published_costs_nothing_and_it_is_read_only(self, broker):
+        assert broker.simulated_cost_s == 0.0
+        with pytest.raises(AttributeError):
+            broker.simulated_cost_s = 1.0
+
+    def test_an_empty_batch_still_pays_the_round_trip(self):
+        broker = InProcessBroker(profile=KAFKA_LIKE)
+        broker.publish_batch("t.x", [])
+        assert broker.simulated_cost_s == pytest.approx(KAFKA_LIKE.batch_cost([]))
+
+
+class TestPublishedPayloadsAreNeverMutated:
+    """The contract sizing-on-read rests on: after publish, nobody — keeper,
+    lineage index, context manager, store — writes to a payload."""
+
+    def test_history_equals_copies_taken_at_publish_time(self):
+        import copy
+
+        from repro.agent.context_manager import ContextManager
+        from repro.agent.recorder import AgentProvenanceRecorder
+        from repro.capture.context import CaptureContext
+        from repro.lineage.index import LineageIndex
+        from repro.lineage.service import LineageService
+        from repro.provenance.keeper import ProvenanceKeeper
+        from repro.workflows.synthetic import run_synthetic_campaign
+
+        snapshots = []
+
+        class Snapshotting(InProcessBroker):
+            eager_cost_s = 0.0
+
+            def _enqueue(self, envs, *, batched):
+                snapshots.extend(copy.deepcopy(e.payload) for e in envs)
+                self.eager_cost_s += self.profile.batch_cost(e.size_bytes() for e in envs)
+                return super()._enqueue(envs, batched=batched)
+
+        ctx = CaptureContext(Snapshotting(), seed="immutable")
+        keeper = ProvenanceKeeper(ctx.broker, lineage_index=LineageIndex())
+        keeper.start()
+        LineageService(ctx.broker).start()
+        manager = ContextManager(ctx.broker, record_types=("task", "tool_execution")).start()
+        run_synthetic_campaign(ctx, n_inputs=5, seed="immutable")
+        run_synthetic_campaign(ctx, n_inputs=2, seed="immutable")  # same inputs again
+        AgentProvenanceRecorder(ctx, agent_id="a", workflow_id="s").record_tool_execution(
+            "tool", {"q": {"deep": [1]}}, {"rows": 1}, started_at=1.0, ended_at=2.0
+        )
+        ctx.flush()
+        manager.to_frame()
+        assert keeper.prov is not None and len(keeper.database) > 0
+
+        history = ctx.broker.history()
+        assert len(history) == len(snapshots) == 7 * 10 + 1
+        assert [e.payload for e in history] == snapshots
+        # so sizing the log now reads the bytes that were sent then
+        assert ctx.broker.simulated_cost_s == pytest.approx(
+            ctx.broker.eager_cost_s, rel=1e-12
+        )
+
+
 class TestResilience:
     def test_subscriber_exception_isolated(self, broker):
         def bad(_env):

@@ -104,31 +104,6 @@ class TestExplicitFlush:
         assert buf.flush_count == 3  # 2 + 2 + 1
 
 
-class TestLastTaskId:
-    def test_none_before_any_append(self, broker):
-        assert MessageBuffer(broker, "t.x").last_task_id() is None
-
-    def test_tracks_most_recent_append(self, broker):
-        buf = MessageBuffer(broker, "t.x", SizeFlush(100))
-        buf.append({"task_id": "a"})
-        buf.append({"task_id": "b"})
-        assert buf.last_task_id() == "b"
-
-    def test_survives_flush(self, broker):
-        # the engine reads the id right after emitting; a flush racing in
-        # between must not lose it (this replaced peeking at _pending)
-        buf = MessageBuffer(broker, "t.x", SizeFlush(1))
-        buf.append({"task_id": "a"})  # triggers an immediate flush
-        assert buf.pending == 0
-        assert buf.last_task_id() == "a"
-
-    def test_payloads_without_task_id_ignored(self, broker):
-        buf = MessageBuffer(broker, "t.x", SizeFlush(100))
-        buf.append({"task_id": "a"})
-        buf.append({"other": 1})
-        assert buf.last_task_id() == "a"
-
-
 class TestReentrantDelivery:
     """Flush publishes outside the buffer lock (the provlint
     blocking-call-under-lock finding): a subscriber callback may

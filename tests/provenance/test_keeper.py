@@ -175,6 +175,142 @@ class TestProvProjection:
         assert keeper.processed_count == 1
 
 
+class TestProvViewIsPaidForByItsReader:
+    """``keeper.prov`` replays accepted documents on access; what it shows
+    must equal a ``ProvDocument`` grown eagerly, message by message."""
+
+    @staticmethod
+    def _eager(payloads):
+        from repro.provenance.keeper import _record_prov, normalise_payload
+        from repro.provenance.prov import ProvDocument
+
+        prov = ProvDocument()
+        for payload in payloads:
+            doc, _reason = normalise_payload(payload)
+            if doc is not None:
+                _record_prov(prov, doc)
+        return prov
+
+    @staticmethod
+    def _same(a, b):
+        # nodes carry their attributes; both lists carry order
+        assert a.nodes() == b.nodes()
+        assert a.relations() == b.relations()
+
+    @staticmethod
+    def _stream():
+        return [
+            # llm-0 names an informer that has not arrived yet: no relation
+            task_payload("llm-0", type="llm_interaction", informed_by="tool-1", agent_id="ag"),
+            task_payload("tool-1", type="tool_execution", agent_id="ag"),
+            task_payload("llm-1", type="llm_interaction", informed_by="tool-1", agent_id="ag"),
+            task_payload("t1", status="RUNNING", ended_at=None, generated={}),
+            task_payload("bad", status="DONE"),  # rejected: never projected
+            task_payload("t1", used={"x": 4, "z": [1, 2]}),  # lifecycle re-delivery
+            task_payload("t2", used={"blob": "v" * 300}),
+        ]
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 100])
+    def test_read_after_batches_equals_eager(self, setup, batch_size):
+        broker, keeper = setup
+        stream = self._stream()
+        for i in range(0, len(stream), batch_size):
+            broker.publish_batch(TASK_TOPIC, stream[i : i + batch_size])
+        self._same(keeper.prov, self._eager(stream))
+        informed = keeper.prov.relations(RelationKind.WAS_INFORMED_BY)
+        assert [(r.subject, r.obj) for r in informed] == [("llm-1", "tool-1")]
+
+    def test_reads_interleaved_with_ingest(self, setup):
+        broker, keeper = setup
+        stream = self._stream()
+        document = keeper.prov
+        assert len(document) == 0
+        for i, payload in enumerate(stream):
+            broker.publish(TASK_TOPIC, payload)
+            if i % 2:
+                self._same(keeper.prov, self._eager(stream[: i + 1]))
+        assert keeper.prov is document  # one document, grown in place
+        self._same(document, self._eager(stream))
+        self._same(keeper.prov, self._eager(stream))  # a second read adds nothing
+
+    def test_single_and_batch_ingest_project_alike(self):
+        stream = self._stream()
+        single = ProvenanceKeeper(InProcessBroker())
+        for payload in stream:
+            single.ingest(payload)
+        batch = ProvenanceKeeper(InProcessBroker())
+        batch.ingest_batch(stream)
+        self._same(single.prov, batch.prov)
+
+    def test_disabled_projection_stays_none_and_retains_nothing(self):
+        keeper = ProvenanceKeeper(InProcessBroker(), build_prov_document=False)
+        keeper.ingest_batch(self._stream())
+        assert keeper.prov is None
+        assert keeper._prov_pending == []
+
+    def test_projection_holds_the_documents_handed_to_the_store(self):
+        seen = []
+        keeper = ProvenanceKeeper(InProcessBroker())
+        original = keeper.database.upsert_many
+        keeper.database.upsert_many = lambda docs, key_field="task_id": (
+            seen.extend(docs), original(docs, key_field=key_field)
+        )[1]
+        keeper.ingest_batch(self._stream())
+        assert [id(d) for d in keeper._prov_pending] == [id(d) for d in seen]
+
+    def test_four_ingesting_threads_and_a_reader(self):
+        import threading
+
+        keeper = ProvenanceKeeper(InProcessBroker())
+        per_thread = [
+            [
+                task_payload(f"w{w}-t{i}", used={"i": i}, agent_id=f"agent-{w}",
+                             type="tool_execution")
+                for i in range(120)
+            ]
+            for w in range(4)
+        ]
+        stop, sizes, errors = threading.Event(), [], []
+
+        def ingest(payloads):
+            try:
+                for i in range(0, len(payloads), 8):
+                    keeper.ingest_batch(payloads[i : i + 8])
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        def read():
+            try:
+                while not stop.is_set():
+                    sizes.append(len(keeper.prov))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=ingest, args=(p,)) for p in per_thread]
+        reader.start()
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        stop.set()
+        reader.join(timeout=60)
+        assert not reader.is_alive() and not any(t.is_alive() for t in writers)
+        assert errors == []
+        assert sizes == sorted(sizes)  # the view only ever grows
+
+        eager = self._eager([p for payloads in per_thread for p in payloads])
+        key = lambda node: repr(node)  # noqa: E731 - acceptance order is racy
+        assert sorted(keeper.prov.nodes(), key=key) == sorted(eager.nodes(), key=key)
+        assert sorted(map(repr, keeper.prov.relations())) == sorted(
+            map(repr, eager.relations())
+        )
+        for w in range(4):  # per producer, order is preserved
+            assert keeper.prov.activities_of_agent(f"agent-{w}") == [
+                f"w{w}-t{i}" for i in range(120)
+            ]
+
+
 class TestDistributedKeepers:
     def test_two_keepers_both_ingest(self):
         broker = InProcessBroker()

@@ -200,3 +200,95 @@ class TestScheduling:
         # the balancer never places free tasks on a host outside the cluster
         assert result.hosts["b"] == "h1"
         assert engine._host_load["gpu-9"] == pytest.approx(50.0)
+
+
+class TestTaskIdAttribution:
+    """``task_ids`` and ``used._upstream`` name the tasks the engine ran —
+    never whatever record happened to be emitted last on the context."""
+
+    @staticmethod
+    def _assert_edges_stay_inside_their_workflow(docs):
+        workflow_of = {d["task_id"]: d["workflow_id"] for d in docs}
+        edges = 0
+        for doc in docs:
+            for upstream in doc["used"].get("_upstream", ()):
+                assert workflow_of.get(upstream) == doc["workflow_id"], (
+                    f"{doc['activity_id']} points at foreign record {upstream!r}"
+                )
+                edges += 1
+        return edges
+
+    def test_reentrant_subscriber_emit_is_not_mistaken_for_the_task(self):
+        from repro.messaging.buffer import SizeFlush
+        from repro.provenance.messages import TaskProvenanceMessage
+        from repro.workflows.synthetic import run_synthetic_workflow
+
+        ctx = CaptureContext(flush_strategy=SizeFlush(1))
+        keeper = ProvenanceKeeper(ctx.broker)
+        keeper.start()
+        sides = []
+
+        def side_record(env):
+            # a subscriber that re-enters the context during the flush
+            if env.payload["type"] != "task" or env.payload["workflow_id"] == "side":
+                return
+            sides.append(f"side-{len(sides) + 1}")
+            ctx.emit(
+                TaskProvenanceMessage(
+                    task_id=sides[-1],
+                    campaign_id=ctx.campaign_id,
+                    workflow_id="side",
+                    activity_id="side_effect",
+                    status="FINISHED",
+                )
+            )
+
+        ctx.broker.subscribe("provenance.#", side_record)
+        result = run_synthetic_workflow(ctx)
+        ctx.flush()
+
+        assert len(sides) == 8
+        assert not set(result.task_ids.values()) & set(sides)
+        tasks = keeper.database.find({"workflow_id": result.workflow_id, "type": "task"})
+        assert {d["task_id"] for d in tasks} == set(result.task_ids.values())
+        assert self._assert_edges_stay_inside_their_workflow(tasks) == 9
+
+    def test_two_threads_sharing_one_context(self):
+        import sys
+        import threading
+
+        from repro.workflows.synthetic import synthetic_dag
+
+        ctx = CaptureContext()
+        keeper = ProvenanceKeeper(ctx.broker)
+        keeper.start()
+        results, errors = [], []
+
+        def campaign():
+            try:
+                engine = WorkflowEngine(ctx)
+                for i in range(50):
+                    results.append(engine.execute(synthetic_dag(1.0 + i)))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=campaign) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two campaigns' emits
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        ctx.flush()
+
+        tasks = keeper.database.find({"type": "task"})
+        assert len(tasks) == 100 * 8
+        for result in results:
+            owned = keeper.database.find({"workflow_id": result.workflow_id, "type": "task"})
+            assert {d["task_id"] for d in owned} == set(result.task_ids.values())
+        assert self._assert_edges_stay_inside_their_workflow(tasks) == 100 * 9
