@@ -90,11 +90,6 @@ def _check_recovery_parity(recovered, reference) -> None:
     assert recovered.find(
         {"workflow_id": wf}, sort=[("started_at", 1)]
     ) == reference.find({"workflow_id": wf}, sort=[("started_at", 1)])
-    pipeline = [
-        {"$group": {"_id": "$activity_id", "n": {"$sum": 1}}},
-        {"$sort": {"n": -1}},
-    ]
-    assert recovered.aggregate(pipeline) == reference.aggregate(pipeline)
 
 
 def test_durable_ingest_and_recovery(results_dir):

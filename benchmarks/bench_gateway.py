@@ -1,4 +1,4 @@
-"""Gateway API: transport parity and concurrent HTTP chat throughput.
+"""Gateway API: client parity and concurrent HTTP chat throughput.
 
 The gateway contract has two legs, each asserted here:
 
@@ -7,17 +7,15 @@ The gateway contract has two legs, each asserted here:
   lineage, CSV rendering, and error envelopes, the in-process
   :class:`~repro.api.client.GatewayClient` and the HTTP
   :class:`~repro.api.client.RemoteClient` return **byte-identical**
-  payloads — against *both* transports (the threaded
-  :class:`~repro.api.http.GatewayHTTPServer` and the asyncio
-  :class:`~repro.api.aio.AsyncGatewayServer`).  The transport may
-  change latency, never bytes;
+  payloads over :class:`~repro.api.aio.AsyncGatewayServer`.  The
+  transport may change latency, never bytes;
 * **throughput** — with the shared LLM server sleeping its (scaled)
   simulated latency like a real remote endpoint, 8 concurrent HTTP
   clients (one keep-alive connection each, one session each) complete
   the same chat workload >= 2x faster than the same turns issued
-  serially over one connection.  The speedup comes from the threaded
-  HTTP server overlapping different sessions' LLM waits — per-session
-  ordering is untouched.
+  serially over one connection.  The speedup comes from the server's
+  executor pool overlapping different sessions' LLM waits —
+  per-session ordering is untouched.
 
 ``GATEWAY_BENCH_N`` scales turns-per-client down for CI smoke runs; the
 throughput floor is asserted at full scale (>= 8 turns/client), below
@@ -31,14 +29,11 @@ import os
 import threading
 import time
 
-import pytest
-
 from benchmarks.conftest import write_result
 from repro.agent.service import AgentService
 from repro.api.aio import AsyncGatewayServer
 from repro.api.client import GatewayClient, RemoteClient
 from repro.api.gateway import ProvenanceGateway
-from repro.api.http import GatewayHTTPServer
 from repro.api.schemas import QueryRequest, from_json
 from repro.capture.context import CaptureContext
 from repro.llm.service import LLMServer
@@ -150,23 +145,13 @@ def _session_script(i: int, turns: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# parity: both HTTP transports and the in-process client are byte-identical
+# parity: the HTTP and the in-process client are byte-identical
 # ---------------------------------------------------------------------------
 
 
-def make_server(transport: str, gateway):
-    """A started gateway server of either transport flavor."""
-    if transport == "threaded":
-        return GatewayHTTPServer(gateway).start()
-    if transport == "asyncio":
-        return AsyncGatewayServer(gateway).start()
-    raise ValueError(f"unknown transport {transport!r}")
-
-
-@pytest.mark.parametrize("transport", ["threaded", "asyncio"])
-def test_transport_parity(results_dir, transport):
+def test_transport_parity(results_dir):
     service, gateway = _make_stack(realtime_factor=0.0)
-    server = make_server(transport, gateway)
+    server = AsyncGatewayServer(gateway).start()
     local = GatewayClient(gateway)
     remote = RemoteClient.for_server(server)
     checked = 0
@@ -200,7 +185,7 @@ def test_transport_parity(results_dir, transport):
     if FULL_SCALE:
         write_result(
             results_dir,
-            f"gateway_parity_{transport}.txt",
+            "gateway_parity_asyncio.txt",
             series_table(
                 [
                     {
@@ -226,7 +211,7 @@ def test_transport_parity(results_dir, transport):
                 ],
                 ["surface", "requests", "byte_identical"],
                 title=(
-                    f"GatewayClient vs RemoteClient[{transport}] transport "
+                    "GatewayClient vs RemoteClient[asyncio] transport "
                     f"parity ({checked} paired requests)"
                 ),
             ),
@@ -295,7 +280,7 @@ def test_http_chat_throughput(results_dir):
     serial_times, concurrent_times = [], []
     for _ in range(ROUNDS):  # interleaved so machine drift hits both
         service, gateway = _make_stack(realtime_factor=REALTIME_FACTOR)
-        server = GatewayHTTPServer(gateway).start()
+        server = AsyncGatewayServer(gateway).start()
         try:
             for i in range(N_CLIENTS):
                 service.create_session(f"s{i}")
@@ -307,7 +292,7 @@ def test_http_chat_throughput(results_dir):
             service.close()
 
         service, gateway = _make_stack(realtime_factor=REALTIME_FACTOR)
-        server = GatewayHTTPServer(gateway).start()
+        server = AsyncGatewayServer(gateway).start()
         try:
             for i in range(N_CLIENTS):
                 service.create_session(f"s{i}")

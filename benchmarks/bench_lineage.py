@@ -26,8 +26,8 @@ import time
 
 from benchmarks.conftest import write_result
 from repro.lineage import LineageIndex
-from repro.provenance.database import ProvenanceDatabase
 from repro.provenance.graph import ProvenanceGraph
+from repro.storage import ProvenanceDatabase
 from repro.viz.ascii import series_table
 
 N_TASKS = int(os.environ.get("LINEAGE_BENCH_N", "100000"))

@@ -15,7 +15,7 @@ import random
 import time
 
 from benchmarks.conftest import write_result
-from repro.provenance.database import ProvenanceDatabase
+from repro.storage import ProvenanceDatabase
 from repro.viz.ascii import series_table
 
 N_DOCS = 100_000

@@ -4,9 +4,9 @@ The sharded store's contract has three legs, each asserted here:
 
 * **parity** — for identical document streams (including lifecycle
   re-deliveries and ``workflow_id`` changes), every ``find`` /
-  ``sort`` / ``limit`` / ``aggregate`` / ``count`` / ``field_counts``
-  answer is *identical* to the single-node reference (``distinct``
-  matches as a set; its emission order groups by shard);
+  ``sort`` / ``limit`` / ``count`` / ``field_counts`` answer is
+  *identical* to the single-node reference (``distinct`` matches as a
+  set; its emission order groups by shard);
 * **concurrent ingest** — four writer threads streaming per-message
   task lifecycles (SUBMITTED -> RUNNING -> FINISHED, out-of-order
   timestamps, exactly the keeper's non-batched delivery path) ingest
@@ -132,13 +132,6 @@ def test_parity_on_randomized_workload():
             filt, sort=sort, limit=limit
         ), (filt, sort, limit)
         assert single.count(filt) == sharded.count(filt)
-    pipeline = [
-        {"$match": {"status": "FINISHED"}},
-        {"$group": {"_id": "$workflow_id", "n": {"$sum": 1}, "avg": {"$avg": "$duration"}}},
-        {"$sort": {"n": -1}},
-        {"$limit": 10},
-    ]
-    assert single.aggregate(pipeline) == sharded.aggregate(pipeline)
     assert single.field_counts("status") == sharded.field_counts("status")
     assert set(single.distinct("workflow_id")) == set(sharded.distinct("workflow_id"))
     # the routing decision is visible and correct
@@ -254,13 +247,10 @@ def test_query_latency(results_dir):
             ),
         ),
         (
-            "scatter: aggregate group",
+            "scatter: filtered field_counts",
             True,
-            lambda st: st.aggregate(
-                [
-                    {"$match": {"started_at": {"$lt": 6000.0}}},
-                    {"$group": {"_id": "$activity_id", "n": {"$sum": 1}}},
-                ]
+            lambda st: st.field_counts(
+                "activity_id", {"started_at": {"$lt": 6000.0}}
             ),
         ),
     ]

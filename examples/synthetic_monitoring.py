@@ -59,10 +59,10 @@ def main() -> None:
             print(reply.table.to_string())
         print()
 
-    # lineage through the provenance graph (offline path)
+    # lineage from the index the agent maintains as messages arrive
     api = QueryAPI(keeper.database)
     some_task = api.tasks({"activity_id": "average_results"}, limit=1)[0]
-    lineage = api.lineage(some_task["task_id"])
+    lineage = agent.lineage.upstream(some_task["task_id"])
     print(
         f"lineage of {some_task['task_id'][:24]}… -> {len(lineage)} upstream task(s)"
     )

@@ -35,9 +35,9 @@ Subsystem packages (see DESIGN.md for the full inventory):
 from repro.agent.agent import AgentReply, ProvenanceAgent
 from repro.agent.service import AgentService
 from repro.agent.session import AgentSession
+from repro.api.aio import AsyncGatewayServer
 from repro.api.client import GatewayClient, RemoteClient
 from repro.api.gateway import ProvenanceGateway
-from repro.api.http import GatewayHTTPServer
 from repro.capture.context import CaptureContext, WorkflowRun
 from repro.capture.instrumentation import flow_task
 from repro.dataframe import DataFrame
@@ -59,13 +59,13 @@ __all__ = [
     "AgentReply",
     "AgentService",
     "AgentSession",
+    "AsyncGatewayServer",
     "QueryCache",
     "CaptureContext",
     "ChatRequest",
     "ChatResponse",
     "DataFrame",
     "GatewayClient",
-    "GatewayHTTPServer",
     "InProcessBroker",
     "LLMServer",
     "ProvenanceGateway",

@@ -376,9 +376,9 @@ class AgentService:
 
         Transports register their drain/stop here: a draining server's
         in-flight requests may still call :meth:`chat`, which must find
-        the service open.  Hooks must be idempotent (both gateway
-        transports' ``stop`` methods are); re-registering the same bound
-        method is a no-op.
+        the service open.  Hooks must be idempotent (the gateway
+        transport's ``stop`` is); re-registering the same bound method
+        is a no-op.
         """
         with self._pool_lock:
             if self._closed:

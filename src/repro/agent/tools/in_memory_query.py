@@ -12,9 +12,7 @@ turn passes its session's context — ``prompt_config``,
 ``guidelines_text``, ``model`` — as per-call overrides instead of the
 tool holding per-user state.  The LLM response that produced the
 answer rides along in ``ToolResult.details["llm_response"]`` so the
-caller can record the interaction without reaching into tool state
-(the legacy ``last_response`` attribute remains for single-session
-compatibility but is unreliable under concurrency).
+caller can record the interaction without reaching into tool state.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ class InMemoryQueryTool(Tool):
         self.model = model
         self.builder = cached_builder(prompt_config)
         self.max_retries = max_retries
-        self.last_response = None
 
     def input_schema(self) -> dict[str, Any]:
         return {
@@ -102,7 +99,6 @@ class InMemoryQueryTool(Tool):
                     model=model, prompt=prompt, query_id=question, rep=attempt
                 )
             )
-            self.last_response = response
             code = response.text.strip()
             try:
                 pipeline = parse_query(code)

@@ -17,11 +17,10 @@ remotely.  This package is that boundary:
 * :mod:`repro.api.routing` — the transport-neutral routing core
   (``/v1/sessions``, ``/v1/sessions/{id}/chat``, ``/v1/query``,
   ``/v1/lineage/{task_id}``, ``/v1/stats``) with JSON/CSV content
-  negotiation, shared byte-for-byte by both transports;
-* :mod:`repro.api.http` — the stdlib ``ThreadingHTTPServer`` transport
-  (compatibility baseline, one thread per connection);
-* :mod:`repro.api.aio` — the asyncio transport: one event-loop thread,
-  a sized executor pool, and admission control
+  negotiation: every reply the HTTP transport writes, errors
+  included, is built here;
+* :mod:`repro.api.aio` — the HTTP transport: one asyncio event-loop
+  thread, a sized executor pool, and admission control
   (:mod:`repro.api.admission`: per-client/per-session token buckets,
   a bounded admission queue, graceful drain);
 * :mod:`repro.api.client` — :class:`GatewayClient` (in-process) and
@@ -36,7 +35,6 @@ from repro.api.admission import AdmissionController, TokenBucket
 from repro.api.aio import AsyncGatewayServer
 from repro.api.client import GatewayClient, GatewayConnectionError, RemoteClient
 from repro.api.gateway import ProvenanceGateway
-from repro.api.http import GatewayHTTPServer
 from repro.api.schemas import (
     API_VERSION,
     ChatReply,
@@ -73,7 +71,6 @@ __all__ = [
     "FramePayload",
     "GatewayClient",
     "GatewayConnectionError",
-    "GatewayHTTPServer",
     "LineageReply",
     "LineageRequest",
     "Page",

@@ -1,12 +1,9 @@
 """Asyncio HTTP transport for the provenance gateway (stdlib only).
 
-The threaded transport (:mod:`repro.api.http`) spends most of each
-request's budget inside ``http.server`` — per-request handler objects,
+The gateway's one HTTP transport, built on ``asyncio.start_server``
+rather than ``http.server`` (per-request handler objects,
 ``email``-based header parsing, one small unbuffered ``send()`` per
-header line — and holds one OS thread per connection.  At interactive
-scale (the ROADMAP's thousands of concurrent clients) that is the
-bottleneck, so this module rebuilds the transport on
-``asyncio.start_server``:
+header line, one OS thread per connection):
 
 * **one event loop thread** owns all sockets: a lean hand-rolled
   HTTP/1.1 parser (request line + the four headers the gateway cares
@@ -14,9 +11,10 @@ bottleneck, so this module rebuilds the transport on
 * **a sized executor pool** runs the actual request handling —
   gateway/tool execution is synchronous CPU-bound Python, so the loop
   never executes it inline; it dispatches
-  :func:`repro.api.routing.handle_request` (the same routing core the
-  threaded transport uses, so replies are byte-identical by
-  construction) onto ``executor_workers`` threads;
+  :func:`repro.api.routing.handle_request` (the routing core, which
+  answers every request with a schema reply or an
+  :class:`~repro.api.schemas.ErrorEnvelope`) onto ``executor_workers``
+  threads;
 * **admission control before any work** — an
   :class:`~repro.api.admission.AdmissionController` bounds that pool:
   per-client/per-session token buckets shed with 429
@@ -69,6 +67,7 @@ def _default_workers() -> int:
 #: LLM-endpoint waits, few enough that the GIL is not a mosh pit
 DEFAULT_EXECUTOR_WORKERS = _default_workers()
 
+#: longest request head served, terminating blank line included
 _MAX_HEADER_BYTES = 64 * 1024
 
 
@@ -122,6 +121,8 @@ class _ParsedHead:
                     self.content_length = int(line[sep + 1:].strip())
                 except ValueError:
                     raise _BadRequestLine("bad Content-Length") from None
+                if self.content_length < 0:
+                    raise _BadRequestLine("bad Content-Length")
             elif name == b"accept":
                 self.accept = line[sep + 1:].strip().decode("latin-1")
             elif name == b"connection":
@@ -137,11 +138,12 @@ class _ParsedHead:
 class AsyncGatewayServer:
     """Lifecycle wrapper: an asyncio HTTP server on a daemon loop thread.
 
-    Mirrors :class:`~repro.api.http.GatewayHTTPServer`'s contract —
-    ``start()`` binds and returns only once the loop is serving,
-    ``stop()``/``close()`` are idempotent, ``address``/``url`` report
-    the bound socket, context-manager use works — and adds graceful
-    drain plus admission control.  ``admission=None`` builds a
+    ``start()`` binds (``port=0`` picks an ephemeral port) and returns
+    only once the loop is serving, ``stop()``/``close()`` drain and are
+    idempotent, a stopped server may be started again,
+    ``address``/``url`` report the bound socket, and context-manager
+    use works.  ``executor_workers=None`` means
+    :data:`DEFAULT_EXECUTOR_WORKERS`.  ``admission=None`` builds a
     controller bounding the executor (no rate limits); pass a
     configured :class:`AdmissionController` for per-client/per-session
     limits.  The controller's counters surface through
@@ -161,7 +163,13 @@ class AsyncGatewayServer:
         self.gateway = gateway
         self.host = host
         self.port = port
-        self.executor_workers = executor_workers or DEFAULT_EXECUTOR_WORKERS
+        if executor_workers is None:
+            executor_workers = DEFAULT_EXECUTOR_WORKERS
+        if executor_workers < 1:
+            raise ValueError(
+                f"executor_workers must be >= 1, got {executor_workers}"
+            )
+        self.executor_workers = executor_workers
         self.admission = (
             admission
             if admission is not None
@@ -232,7 +240,7 @@ class AsyncGatewayServer:
                     self._handle_connection,
                     self.host,
                     self.port,
-                    limit=256 * 1024,
+                    limit=_MAX_HEADER_BYTES,
                 )
             )
         except BaseException as exc:  # noqa: BLE001 - surfaced by start()
@@ -322,6 +330,10 @@ class AsyncGatewayServer:
                 ):
                     break
                 except asyncio.LimitOverrunError:
+                    head_bytes = None
+                # the stream limit counts up to the terminator, so a head
+                # up to four bytes over it still arrives: check the length
+                if head_bytes is None or len(head_bytes) > _MAX_HEADER_BYTES:
                     await self._respond(
                         writer,
                         error_response(
@@ -342,7 +354,7 @@ class AsyncGatewayServer:
                         keep_alive=False,
                     )
                     break
-                if head.content_length < 0 or head.content_length > MAX_BODY_BYTES:
+                if head.content_length > MAX_BODY_BYTES:
                     # refuse before reading: the connection is poisoned
                     # by the unread body, so close it after replying
                     await self._respond(

@@ -1,16 +1,13 @@
-"""Gateway clients: one interface, two transports.
+"""Gateway clients: one interface, in-process or over HTTP.
 
 :class:`GatewayClient` calls a :class:`~repro.api.gateway.ProvenanceGateway`
 in-process; :class:`RemoteClient` speaks HTTP/1.1 over a keep-alive
-connection to either server transport — the asyncio
-:class:`~repro.api.aio.AsyncGatewayServer` or the threaded
-:class:`~repro.api.http.GatewayHTTPServer`, which share one routing
-core and answer byte-identically.  Both clients expose the
-*same* methods with the same signatures and return the same schema
+connection to :class:`~repro.api.aio.AsyncGatewayServer`.  Both clients
+expose the *same* methods with the same signatures and return the same schema
 instances — and their ``*_json`` forms return the same canonical JSON
 text byte-for-byte (``tests/api/test_client_parity.py`` and
 ``benchmarks/bench_gateway.py`` assert it).  Code written against one
-transport runs unchanged against the other, which is the property the
+client runs unchanged against the other, which is the property the
 paper's "programmatically (e.g., via Jupyter) ... or via natural
 language" access modes need.
 
@@ -135,8 +132,7 @@ def _parse_retry_after(value: str | None) -> float | None:
 class RemoteClient:
     """HTTP client over one keep-alive connection (stdlib only).
 
-    Method-for-method identical to :class:`GatewayClient`, against
-    either gateway transport (threaded or asyncio).  Not thread-safe
+    Method-for-method identical to :class:`GatewayClient`.  Not thread-safe
     (one underlying connection): concurrent callers hold one
     ``RemoteClient`` each, which is also how real HTTP load looks.
 
@@ -177,7 +173,7 @@ class RemoteClient:
 
     @classmethod
     def for_server(cls, server: Any, **kwargs: Any) -> "RemoteClient":
-        """Client for a started gateway server (threaded or asyncio)."""
+        """Client for a started gateway server."""
         host, port = server.address
         return cls(host, port, **kwargs)
 

@@ -35,15 +35,13 @@ one request/response schema layer (:mod:`repro.api.schemas`) routed here:
 
 Every public method returns a schema instance — on failure an
 :class:`~repro.api.schemas.ErrorEnvelope` with a stable code, never an
-exception — which is what lets the stdlib HTTP transport
-(:mod:`repro.api.http`) and the in-process client stay trivially thin.
+exception — which is what lets the HTTP transport
+(:mod:`repro.api.aio`) and the in-process client stay trivially thin.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, insort
-from collections import deque
 from time import perf_counter
 from typing import Any, TYPE_CHECKING
 
@@ -65,6 +63,7 @@ from repro.api.schemas import (
 from repro.api.stages import DIALECT_STAGES, QueryContext, error_parts, page, validate
 from repro.errors import ProvenanceError
 from repro.query.cache import canonical_filter_key
+from repro.utils.reservoir import LatencyReservoir
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.agent.service import AgentService
@@ -74,47 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.engine import PipelineRun
 
 __all__ = ["ProvenanceGateway", "DEFAULT_PAGE_SIZE"]
-
-#: per-endpoint latency reservoir bound (same rationale as the
-#: LLM server's: stable tails, cheap insort on the request path)
-_MAX_LATENCY_SAMPLES = 4096
-
-
-class _LatencyReservoir:
-    """Bounded most-recent latency samples with percentile snapshots.
-
-    Same shape as :meth:`repro.llm.service.LLMServer.stats`: a sorted
-    reservoir paired with a FIFO so eviction drops the oldest sample.
-    Not thread-safe on its own — the gateway holds its stats lock.
-    """
-
-    __slots__ = ("_sorted", "_fifo", "_count")
-
-    def __init__(self) -> None:
-        self._sorted: list[float] = []
-        self._fifo: deque[float] = deque()
-        self._count = 0
-
-    def add(self, value: float) -> None:
-        self._count += 1
-        if len(self._fifo) >= _MAX_LATENCY_SAMPLES:
-            oldest = self._fifo.popleft()
-            i = bisect_left(self._sorted, oldest)
-            if i < len(self._sorted) and self._sorted[i] == oldest:
-                self._sorted.pop(i)
-        self._fifo.append(value)
-        insort(self._sorted, value)
-
-    def snapshot(self) -> dict[str, Any]:
-        lat = self._sorted
-        n = len(lat)
-        return {
-            "requests": self._count,
-            "latency_p50_s": lat[int(0.50 * (n - 1))] if n else None,
-            "latency_p90_s": lat[int(0.90 * (n - 1))] if n else None,
-            "latency_p99_s": lat[int(0.99 * (n - 1))] if n else None,
-            "latency_max_s": lat[-1] if n else None,
-        }
 
 #: page size used when a cursor continues a query that never set one
 DEFAULT_PAGE_SIZE = 100
@@ -152,7 +110,7 @@ class ProvenanceGateway:
         self._lock = threading.Lock()
         self._requests: dict[str, int] = {}
         self._errors: dict[str, int] = {}
-        self._latency: dict[str, _LatencyReservoir] = {}
+        self._latency: dict[str, LatencyReservoir] = {}
         #: operator-pushdown decisions for pipeline/sql executions:
         #: counters keyed pushed:<mode> / fallback:<mode> / classic /
         #: cache-hit, plus scatter-payload totals and the last decision
@@ -179,7 +137,7 @@ class ProvenanceGateway:
         with self._lock:
             reservoir = self._latency.get(endpoint)
             if reservoir is None:
-                reservoir = self._latency[endpoint] = _LatencyReservoir()
+                reservoir = self._latency[endpoint] = LatencyReservoir()
             reservoir.add(elapsed_s)
 
     def attach_admission(self, admission: "AdmissionController") -> None:
@@ -380,7 +338,7 @@ class ProvenanceGateway:
             requests = dict(self._requests)
             errors = dict(self._errors)
             endpoints = {
-                name: reservoir.snapshot()
+                name: {"requests": reservoir.count, **reservoir.snapshot()}
                 for name, reservoir in sorted(self._latency.items())
             }
             pushdown = {
@@ -414,7 +372,7 @@ class ProvenanceGateway:
     def render_csv(self, reply: Any) -> tuple[str, str]:
         """``(content_type, body)`` for a CSV-negotiated query outcome.
 
-        Both transports route through here so a ``NOT_ACCEPTABLE``
+        The HTTP routing core renders through here so a ``NOT_ACCEPTABLE``
         rendering (CSV of a non-frame result) lands in the gateway's
         per-code error counters like every other failure.
         """

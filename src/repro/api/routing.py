@@ -1,19 +1,19 @@
 """Transport-neutral request handling for the gateway's HTTP surface.
 
-Both transports — the threaded :class:`~repro.api.http.GatewayHTTPServer`
-and the asyncio :class:`~repro.api.aio.AsyncGatewayServer` — parse bytes
-off their sockets, build a :class:`WireRequest`, and hand it to
-:func:`handle_request`.  Everything the transports share lives here:
-route matching, body parsing, content negotiation, error-code-to-status
-mapping, and response shaping.  That sharing is what makes the two
-transports **byte-identical by construction** — the parity matrix in
-``benchmarks/bench_gateway.py`` asserts it, but there is no second
-routing implementation left to diverge.
+The transport (:class:`~repro.api.aio.AsyncGatewayServer`) parses
+bytes off its sockets, builds a :class:`WireRequest`, and hands it to
+:func:`handle_request`.  Everything above the socket lives here: route
+matching, body parsing, content negotiation, error-code-to-status
+mapping, and response shaping — so a reply over HTTP is the in-process
+:class:`~repro.api.client.GatewayClient` reply byte for byte (the
+parity matrix in ``benchmarks/bench_gateway.py`` asserts it), and an
+unroutable request (unknown path, wrong method) is answered with an
+:class:`~repro.api.schemas.ErrorEnvelope` like every other failure.
 
 The one transport-level concern this module also owns is the
 ``Retry-After`` hint: any 429/503 response (:data:`ErrorCode.RATE_LIMITED`,
 :data:`ErrorCode.OVERLOADED`, :data:`ErrorCode.SERVICE_CLOSED`) carries
-``WireResponse.retry_after``, which transports emit as the header of the
+``WireResponse.retry_after``, which the transport emits as the header of the
 same name and clients may honor with backoff
 (:class:`~repro.api.client.RemoteClient` ``retries=``).
 """
@@ -113,8 +113,8 @@ class WireRequest:
 class WireResponse:
     """One response, ready for a transport to serialise.
 
-    ``retry_after`` (seconds) is set on shed/drain responses; transports
-    emit it as the ``Retry-After`` header.
+    ``retry_after`` (seconds) is set on shed/drain responses; the transport
+    emits it as the ``Retry-After`` header.
     """
 
     status: int

@@ -71,7 +71,7 @@ class ErrorCode:
 
     These are wire contract: clients branch on them, so they never
     change meaning.  HTTP maps them to status codes
-    (:data:`repro.api.http.STATUS_BY_CODE`).
+    (:data:`repro.api.routing.STATUS_BY_CODE`).
     """
 
     MALFORMED_JSON = "MALFORMED_JSON"

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, insort
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,12 +37,9 @@ from repro.llm.latency import simulate_latency
 from repro.llm.profiles import ModelProfile, get_profile
 from repro.llm.prompt_reading import perceive
 from repro.llm.tokenizer import count_tokens
+from repro.utils.reservoir import LatencyReservoir
 
 __all__ = ["ChatRequest", "ChatResponse", "LLMServer"]
-
-#: latency reservoir bound: enough for stable tail percentiles, small
-#: enough that insort stays cheap on the request path
-_MAX_LATENCY_SAMPLES = 4096
 
 
 @dataclass
@@ -98,10 +93,8 @@ class LLMServer:
         self._prompt_tokens_total = 0
         self._output_tokens_total = 0
         self._simulated_latency_total_s = 0.0
-        #: sorted reservoir of the most recent simulated latencies,
-        #: paired with a FIFO so eviction drops the oldest sample
-        self._latencies: list[float] = []
-        self._latency_fifo: deque[float] = deque()
+        #: the most recent simulated latencies
+        self._latencies = LatencyReservoir()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         profile = get_profile(request.model)
@@ -141,13 +134,7 @@ class LLMServer:
             self._prompt_tokens_total += prompt_tokens
             self._output_tokens_total += output_tokens
             self._simulated_latency_total_s += latency
-            if len(self._latency_fifo) >= _MAX_LATENCY_SAMPLES:
-                oldest = self._latency_fifo.popleft()
-                i = bisect_left(self._latencies, oldest)
-                if i < len(self._latencies) and self._latencies[i] == oldest:
-                    self._latencies.pop(i)
-            self._latency_fifo.append(latency)
-            insort(self._latencies, latency)
+            self._latencies.add(latency)
             if self.keep_history:
                 self.history.append((request, response))
         if self.realtime_factor:
@@ -165,8 +152,6 @@ class LLMServer:
         totals and request counts are exact since construction.
         """
         with self._stats_lock:
-            lat = self._latencies
-            n = len(lat)
             return {
                 "requests": self.request_count,
                 "prompt_tokens": self._prompt_tokens_total,
@@ -175,10 +160,7 @@ class LLMServer:
                     self._prompt_tokens_total + self._output_tokens_total
                 ),
                 "simulated_latency_total_s": self._simulated_latency_total_s,
-                "latency_p50_s": lat[int(0.50 * (n - 1))] if n else None,
-                "latency_p90_s": lat[int(0.90 * (n - 1))] if n else None,
-                "latency_p99_s": lat[int(0.99 * (n - 1))] if n else None,
-                "latency_max_s": lat[-1] if n else None,
+                **self._latencies.snapshot(),
                 "realtime_factor": self.realtime_factor,
             }
 

@@ -7,16 +7,17 @@ Implements the paper's provenance substrate (§2.3):
 * :mod:`repro.provenance.prov` — a W3C PROV extension: entities,
   activities, agents and their relations, used to record both workflow
   tasks and the agent's own tool/LLM interactions (§4.2);
-* :mod:`repro.provenance.database` — compatibility alias for
-  :mod:`repro.storage`, the pluggable backend package (single-node
-  indexed store and the workflow-sharded store);
 * :mod:`repro.provenance.keeper` — the Provenance Keeper service that
   subscribes to the streaming hub, normalises messages into the unified
   schema, and persists them;
-* :mod:`repro.provenance.graph` — a networkx graph view for traversal
-  (lineage/impact) queries;
+* :mod:`repro.provenance.graph` — a networkx graph built from stored
+  documents: the reference the live lineage index
+  (:mod:`repro.lineage`) is checked against, not a query path;
 * :mod:`repro.provenance.query_api` — the language-agnostic Query API
   used by dashboards, notebooks, and the provenance agent.
+
+The store itself lives in :mod:`repro.storage`; its three public names
+are re-exported here.
 """
 
 from repro.provenance.messages import (

@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.dataframe import DataFrame
-from repro.provenance.graph import ProvenanceGraph
 from repro.query.cache import QueryCache, canonical_filter_key, store_version
 from repro.storage import StorageBackend
 
@@ -145,7 +144,7 @@ class QueryAPI:
             {"type": {"$in": ["tool_execution", "llm_interaction"]}}
         )
 
-    # -- frame / graph views ------------------------------------------------------
+    # -- frame view ---------------------------------------------------------------
     def to_frame(self, filt: Mapping[str, Any] | None = None) -> DataFrame:
         """Flattened DataFrame view so the query IR can run on history.
 
@@ -164,12 +163,3 @@ class QueryAPI:
             lambda: DataFrame.from_records(self.database.find(filt), flatten=True),
         )
         return frame
-
-    def graph(self, filt: Mapping[str, Any] | None = None) -> ProvenanceGraph:
-        return ProvenanceGraph.from_database(self.database, filt)
-
-    def lineage(self, task_id: str) -> set[str]:
-        return self.graph().upstream(task_id)
-
-    def impact(self, task_id: str) -> set[str]:
-        return self.graph().downstream(task_id)

@@ -43,7 +43,6 @@ from repro.storage.memory import (
     DEFAULT_EQUALITY_INDEX_FIELDS,
     DEFAULT_RANGE_INDEX_FIELDS,
     ProvenanceDatabase,
-    apply_pipeline_stages,
     matches_filter,
     validate_filter,
 )
@@ -65,5 +64,4 @@ __all__ = [
     "sort_documents",
     "matches_filter",
     "validate_filter",
-    "apply_pipeline_stages",
 ]

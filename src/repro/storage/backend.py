@@ -115,9 +115,7 @@ class StorageBackend(Protocol):
         self, path: str, filt: Mapping[str, Any] | None = None
     ) -> dict[Any, int]: ...
 
-    # -- aggregation / introspection -------------------------------------------
-    def aggregate(self, pipeline: list[Mapping[str, Any]]) -> list[dict[str, Any]]: ...
-
+    # -- introspection ----------------------------------------------------------
     def explain(self, filt: Mapping[str, Any] | None = None) -> dict[str, Any]: ...
 
     def version(self) -> int: ...

@@ -572,9 +572,6 @@ class DurableStore:
     ) -> dict[Any, int]:
         return self._inner.field_counts(path, filt)
 
-    def aggregate(self, pipeline: list[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        return self._inner.aggregate(pipeline)
-
     def execute_partial(self, plan: Any) -> list[Any]:
         """Delegated pushdown execution — reads live in the inner store."""
         return self._inner.execute_partial(plan)

@@ -2,10 +2,10 @@
 
 This is the reference :class:`repro.storage.StorageBackend`: one faithful
 in-memory store exercising every path the agent needs — Mongo-style
-filter documents (OLTP targeted lookups), a small aggregation pipeline
-(OLAP), and upserts keyed by ``task_id`` so RUNNING -> FINISHED updates
-collapse into one record.  (It moved here from
-``repro.provenance.database``, which remains as a compatibility alias.)
+filter documents (OLTP targeted lookups), per-value counts and
+partial-aggregate execution for the query layer (OLAP), and upserts
+keyed by ``task_id`` so RUNNING -> FINISHED updates collapse into one
+record.
 
 Filter documents support::
 
@@ -14,10 +14,6 @@ Filter documents support::
     {"activity_id": {"$in": ["run_dft"]}}       # membership
     {"generated.bond_id": {"$regex": "C-H"}}    # dotted paths + regex
     {"ended_at": {"$exists": False}}            # presence
-
-Aggregation pipelines support ``$match``, ``$group`` (with ``$sum``,
-``$avg``, ``$min``, ``$max``, ``$count``), ``$sort``, ``$limit``,
-``$project``.
 
 Secondary indexes keep targeted lookups flat-cost as trace volume grows:
 hash indexes over declared equality fields (:data:`DEFAULT_EQUALITY_INDEX_FIELDS`)
@@ -31,11 +27,10 @@ falls back to scanning.  See ``docs/query_surface.md`` for the complete
 operator/index reference and :meth:`ProvenanceDatabase.explain` for the
 plan a given filter gets.
 
-The filter matcher (:func:`matches_filter`), validator
-(:func:`validate_filter`), and pipeline-stage executor
-(:func:`apply_pipeline_stages`) are module-level so other backends —
-notably the sharded coordinator, which merges per-shard results and
-runs pipeline tails itself — share one definition of the semantics.
+The filter matcher (:func:`matches_filter`) and validator
+(:func:`validate_filter`) are module-level so other backends — notably
+the sharded coordinator, which validates once and merges per-shard
+results — share one definition of the semantics.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ __all__ = [
     "merge_upsert_doc",
     "matches_filter",
     "validate_filter",
-    "apply_pipeline_stages",
     "DEFAULT_EQUALITY_INDEX_FIELDS",
     "DEFAULT_RANGE_INDEX_FIELDS",
 ]
@@ -195,94 +189,6 @@ def matches_filter(doc: Mapping[str, Any], filt: Mapping[str, Any]) -> bool:
             if value != cond:
                 return False
     return True
-
-
-_ACCUMULATORS = {
-    "$sum": lambda vals: sum(v for v in vals if isinstance(v, (int, float))),
-    "$avg": lambda vals: (
-        (lambda nums: sum(nums) / len(nums) if nums else None)(
-            [v for v in vals if isinstance(v, (int, float))]
-        )
-    ),
-    "$min": lambda vals: min((v for v in vals if v is not None), default=None),
-    "$max": lambda vals: max((v for v in vals if v is not None), default=None),
-    "$count": lambda vals: sum(1 for v in vals if v is not None),
-    "$first": lambda vals: next(iter(vals), None),
-}
-
-
-def _group_docs(
-    docs: list[dict[str, Any]], spec: Mapping[str, Any]
-) -> list[dict[str, Any]]:
-    if "_id" not in spec:
-        raise DatabaseError("$group requires an _id expression")
-    id_expr = spec["_id"]
-    groups: dict[Any, list[dict[str, Any]]] = {}
-    order: list[Any] = []
-    for d in docs:
-        key = get_path(d, id_expr[1:]) if isinstance(id_expr, str) and id_expr.startswith("$") else id_expr
-        try:
-            hash(key)
-        except TypeError:
-            key = repr(key)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(d)
-    out = []
-    for key in order:
-        row: dict[str, Any] = {"_id": key}
-        for field_name, acc_spec in spec.items():
-            if field_name == "_id":
-                continue
-            if not isinstance(acc_spec, Mapping) or len(acc_spec) != 1:
-                raise DatabaseError(f"bad accumulator for {field_name!r}")
-            acc_op, acc_arg = next(iter(acc_spec.items()))
-            fn = _ACCUMULATORS.get(acc_op)
-            if fn is None:
-                raise DatabaseError(f"unknown accumulator {acc_op!r}")
-            if isinstance(acc_arg, str) and acc_arg.startswith("$"):
-                vals = [get_path(d, acc_arg[1:]) for d in groups[key]]
-            else:
-                vals = [acc_arg for _ in groups[key]]
-            row[field_name] = fn(vals)
-        out.append(row)
-    return out
-
-
-def apply_pipeline_stages(
-    docs: list[dict[str, Any]], stages: Iterable[Mapping[str, Any]]
-) -> list[dict[str, Any]]:
-    """Run aggregation stages over an already-materialised document list.
-
-    Backends hand their (possibly index-accelerated) ``$match`` source
-    set to this one executor so every stage behaves identically across
-    single-node and sharded stores.  May mutate/replace ``docs``;
-    callers pass a list they own.
-    """
-    for stage in stages:
-        if len(stage) != 1:
-            raise DatabaseError(f"each stage must have exactly one key: {stage}")
-        op, arg = next(iter(stage.items()))
-        if op == "$match":
-            # same up-front validation as the planner path: malformed
-            # operators must not pass just because no doc reaches them
-            validate_filter(arg)
-            docs = [d for d in docs if matches_filter(d, arg)]
-        elif op == "$group":
-            docs = _group_docs(docs, arg)
-        elif op == "$sort":
-            for path, direction in reversed(list(arg.items())):
-                sort_documents(docs, path, direction)
-        elif op == "$limit":
-            docs = docs[: max(0, int(arg))]
-        elif op == "$project":
-            docs = [{p: get_path(d, p) for p in arg} for d in docs]
-        elif op == "$count":
-            docs = [{str(arg): len(docs)}]
-        else:
-            raise DatabaseError(f"unknown pipeline stage {op!r}")
-    return docs
 
 
 #: Sentinel recorded when an indexed field holds an unhashable value.
@@ -872,9 +778,9 @@ class ProvenanceDatabase:
         """Document count per value of ``path`` (``None`` bucket included).
 
         The unfiltered indexed case reads ``len()`` of each value's id
-        set — no document is touched.  Matches a
-        ``$group: {_id: "$path", n: {$sum: 1}}`` aggregation exactly,
-        including the ``None`` group and repr-folding of unhashables.
+        set — no document is touched.  Values appear in first-occurrence
+        order; documents without ``path`` count under ``None`` and
+        unhashable values under their ``repr``.
         """
         with self._lock:
             if not filt and path in self._eq_index and not self._eq_overflow[path]:
@@ -892,13 +798,3 @@ class ProvenanceDatabase:
                     v = repr(v)
                 counts[v] = counts.get(v, 0) + 1
             return counts
-
-    # -- aggregation -----------------------------------------------------------------
-    def aggregate(self, pipeline: list[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        stages = list(pipeline)
-        if stages and len(stages[0]) == 1:
-            op, arg = next(iter(stages[0].items()))
-            if op == "$match":
-                # a leading $match goes through the planner fast path
-                return apply_pipeline_stages(self.find(arg), stages[1:])
-        return apply_pipeline_stages(self.all(), stages)

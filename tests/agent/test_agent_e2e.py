@@ -7,9 +7,9 @@ import pytest
 from repro.agent.agent import ProvenanceAgent
 from repro.agent.router import Intent
 from repro.capture.context import CaptureContext
-from repro.provenance.database import ProvenanceDatabase
 from repro.provenance.keeper import ProvenanceKeeper
 from repro.provenance.query_api import QueryAPI
+from repro.storage import ProvenanceDatabase
 from repro.workflows.synthetic import run_synthetic_campaign
 
 

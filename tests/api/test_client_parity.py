@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.aio import AsyncGatewayServer
 from repro.api.client import GatewayClient, RemoteClient
-from repro.api.http import GatewayHTTPServer
 from repro.api.schemas import ErrorEnvelope, QueryRequest, from_json
 
 QUERY_MATRIX = [
@@ -40,7 +40,7 @@ QUERY_MATRIX = [
 @pytest.fixture
 def transports(stack):
     service, gateway, local = stack
-    server = GatewayHTTPServer(gateway).start()
+    server = AsyncGatewayServer(gateway).start()
     remote = RemoteClient.for_server(server)
     yield local, remote
     remote.close()

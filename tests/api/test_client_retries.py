@@ -7,7 +7,6 @@ import pytest
 from repro.api.admission import AdmissionController
 from repro.api.aio import AsyncGatewayServer
 from repro.api.client import GatewayConnectionError, RemoteClient
-from repro.api.http import GatewayHTTPServer
 from repro.api.schemas import ErrorCode, ErrorEnvelope
 
 
@@ -93,11 +92,8 @@ class TestRetryAfterBackoff:
 
 
 class TestReconnect:
-    @pytest.mark.parametrize(
-        "server_cls", [GatewayHTTPServer, AsyncGatewayServer]
-    )
-    def test_stale_keepalive_socket_reconnects_once(self, gateway, server_cls):
-        server = server_cls(gateway).start()
+    def test_stale_keepalive_socket_reconnects_once(self, gateway):
+        server = AsyncGatewayServer(gateway).start()
         host, port = server.address
         client = RemoteClient(host, port)
         try:
@@ -105,7 +101,7 @@ class TestReconnect:
             # the server restarts on the same port: the client's pooled
             # socket is now a dead keep-alive connection
             server.stop()
-            server = server_cls(gateway, port=port).start()
+            server = AsyncGatewayServer(gateway, port=port).start()
             reply = client.stats()  # ECONNRESET on reuse -> reconnect
             assert reply.requests is not None
         finally:
@@ -113,7 +109,7 @@ class TestReconnect:
             server.stop()
 
     def test_fresh_connection_failure_raises_immediately(self, gateway):
-        server = GatewayHTTPServer(gateway).start()
+        server = AsyncGatewayServer(gateway).start()
         host, port = server.address
         server.stop()  # nothing listens here any more
         client = RemoteClient(host, port)

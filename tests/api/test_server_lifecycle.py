@@ -1,6 +1,6 @@
 """Server lifecycle: startup race, idempotent stop, close-hook wiring.
 
-Regression suite for the start/stop race both transports had to fix:
+Regression suite for the start/stop race the transport had to fix:
 ``start()`` must not return until the server is actually serving (an
 immediate connect used to land in the listen backlog of a thread that
 had not reached its poll loop), and ``stop()`` must be safe to call
@@ -15,9 +15,6 @@ import threading
 import pytest
 
 from repro.api.aio import AsyncGatewayServer
-from repro.api.http import GatewayHTTPServer
-
-TRANSPORTS = [GatewayHTTPServer, AsyncGatewayServer]
 
 
 def _get_stats_status(address) -> int:
@@ -32,29 +29,28 @@ def _get_stats_status(address) -> int:
         conn.close()
 
 
-@pytest.mark.parametrize("server_cls", TRANSPORTS)
 class TestLifecycle:
-    def test_connect_immediately_after_start(self, gateway, server_cls):
+    def test_connect_immediately_after_start(self, gateway):
         """The startup race: a connect in the same instant start()
         returns must be served, every time."""
         for _ in range(5):
-            server = server_cls(gateway).start()
+            server = AsyncGatewayServer(gateway).start()
             try:
                 assert _get_stats_status(server.address) == 200
             finally:
                 server.stop()
 
-    def test_stop_is_idempotent(self, gateway, server_cls):
-        server = server_cls(gateway).start()
+    def test_stop_is_idempotent(self, gateway):
+        server = AsyncGatewayServer(gateway).start()
         server.stop()
         server.stop()  # second stop: nothing to do, no error
         server.close()  # alias, equally safe
 
-    def test_stop_never_started(self, gateway, server_cls):
-        server_cls(gateway).stop()  # no bind happened: a clean no-op
+    def test_stop_never_started(self, gateway):
+        AsyncGatewayServer(gateway).stop()  # no bind happened: a clean no-op
 
-    def test_address_requires_start(self, gateway, server_cls):
-        server = server_cls(gateway)
+    def test_address_requires_start(self, gateway):
+        server = AsyncGatewayServer(gateway)
         with pytest.raises(RuntimeError, match="not started"):
             server.address
         server.start()
@@ -66,8 +62,8 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="not started"):
             server.address
 
-    def test_start_is_idempotent_and_restartable(self, gateway, server_cls):
-        server = server_cls(gateway).start()
+    def test_start_is_idempotent_and_restartable(self, gateway):
+        server = AsyncGatewayServer(gateway).start()
         assert server.start() is server  # second start: same instance
         first = server.address
         assert _get_stats_status(first) == 200
@@ -79,8 +75,8 @@ class TestLifecycle:
         finally:
             server.stop()
 
-    def test_concurrent_stops_from_many_threads(self, gateway, server_cls):
-        server = server_cls(gateway).start()
+    def test_concurrent_stops_from_many_threads(self, gateway):
+        server = AsyncGatewayServer(gateway).start()
         errors: list[BaseException] = []
 
         def stopper():
@@ -96,18 +92,17 @@ class TestLifecycle:
             t.join(timeout=30)
         assert not errors
 
-    def test_context_manager(self, gateway, server_cls):
-        with server_cls(gateway) as server:
+    def test_context_manager(self, gateway):
+        with AsyncGatewayServer(gateway) as server:
             assert _get_stats_status(server.address) == 200
         with pytest.raises(RuntimeError):
             server.address
 
 
-@pytest.mark.parametrize("server_cls", TRANSPORTS)
-def test_service_close_stops_server(stack, server_cls):
+def test_service_close_stops_server(stack):
     """The close hook: closing the service takes the transport with it."""
     service, gateway, _client = stack
-    server = server_cls(gateway).start()
+    server = AsyncGatewayServer(gateway).start()
     address = server.address
     assert _get_stats_status(address) == 200
     service.close()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DatabaseError
-from repro.provenance.database import ProvenanceDatabase, get_path
+from repro.storage import ProvenanceDatabase, get_path
 
 
 @pytest.fixture
@@ -97,46 +97,6 @@ class TestUpsert:
     def test_upsert_requires_key(self):
         with pytest.raises(DatabaseError):
             ProvenanceDatabase().upsert({"status": "FINISHED"})
-
-
-class TestAggregate:
-    def test_group_avg(self, db):
-        rows = db.aggregate(
-            [
-                {"$group": {"_id": "$activity_id", "mean_dur": {"$avg": "$duration"}}},
-            ]
-        )
-        by_id = {r["_id"]: r["mean_dur"] for r in rows}
-        assert by_id["run_dft"] == pytest.approx(1.25)
-
-    def test_match_group_sort_limit(self, db):
-        rows = db.aggregate(
-            [
-                {"$match": {"status": "FINISHED"}},
-                {"$group": {"_id": "$hostname", "n": {"$sum": 1}}},
-                {"$sort": {"n": -1}},
-                {"$limit": 1},
-            ]
-        )
-        assert rows == [{"_id": "frontier00084", "n": 2}]
-
-    def test_count_stage(self, db):
-        rows = db.aggregate([{"$match": {"status": "FAILED"}}, {"$count": "failed"}])
-        assert rows == [{"failed": 1}]
-
-    def test_project_stage(self, db):
-        rows = db.aggregate(
-            [{"$match": {"status": "RUNNING"}}, {"$project": ["task_id"]}]
-        )
-        assert rows == [{"task_id": "1000.2_1"}]
-
-    def test_bad_stage_raises(self, db):
-        with pytest.raises(DatabaseError):
-            db.aggregate([{"$frobnicate": 1}])
-
-    def test_group_requires_id(self, db):
-        with pytest.raises(DatabaseError):
-            db.aggregate([{"$group": {"n": {"$sum": 1}}}])
 
 
 class TestOperatorEdgeCases:

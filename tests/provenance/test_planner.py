@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DatabaseError
-from repro.provenance.database import (
+from repro.storage import (
     DEFAULT_EQUALITY_INDEX_FIELDS,
     DEFAULT_RANGE_INDEX_FIELDS,
     ProvenanceDatabase,
@@ -231,17 +231,6 @@ class TestIndexMaintenance:
         db.insert({"task_id": "t1", "status": "FINISHED"})
         got = db.find({"status": {"$regex": re.compile("fin", re.IGNORECASE)}})
         assert [d["task_id"] for d in got] == ["t1"]
-
-    def test_non_leading_match_stage_validated(self):
-        db = ProvenanceDatabase()
-        db.insert({"task_id": "t1", "status": "FINISHED"})
-        with pytest.raises(DatabaseError):
-            db.aggregate(
-                [
-                    {"$match": {"status": "NOPE"}},
-                    {"$match": {"status": {"$in": "oops"}}},
-                ]
-            )
 
 
 # ---------------------------------------------------------------------------

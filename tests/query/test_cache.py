@@ -206,7 +206,7 @@ class TestStoreVersion:
         db.find({"status": "FINISHED"})
         db.count()
         db.distinct("workflow_id")
-        db.aggregate([{"$match": {"status": "FINISHED"}}])
+        db.field_counts("status")
         db.explain({"task_id": "t1"})
         assert db.version() == v
 

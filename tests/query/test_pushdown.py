@@ -11,10 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.dataframe import DataFrame
-from repro.provenance.database import ProvenanceDatabase
 from repro.query import execute_query, parse_query
 from repro.query import ast as q
 from repro.query.pushdown import merge_filters, pipeline_prefilter
+from repro.storage import ProvenanceDatabase
 
 
 class TestPrefilterTranslation:

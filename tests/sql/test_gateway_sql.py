@@ -264,11 +264,11 @@ class TestExplain:
 
 class TestRemoteTransport:
     def test_sql_over_http_matches_in_process(self, stack):
+        from repro.api.aio import AsyncGatewayServer
         from repro.api.client import RemoteClient
-        from repro.api.http import GatewayHTTPServer
 
         service, gateway, client = stack
-        server = GatewayHTTPServer(gateway)
+        server = AsyncGatewayServer(gateway)
         server.start()
         try:
             with RemoteClient.for_server(server) as remote:

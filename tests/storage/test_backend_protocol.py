@@ -1,10 +1,11 @@
-"""The StorageBackend seam: conformance, compat aliases, drop-in consumers."""
+"""The StorageBackend seam: conformance, top-level exports, drop-in consumers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.messaging.broker import InProcessBroker
+from repro.provenance.graph import ProvenanceGraph
 from repro.provenance.keeper import ProvenanceKeeper, TASK_TOPIC
 from repro.provenance.query_api import QueryAPI
 from repro.storage import (
@@ -52,7 +53,6 @@ class TestProtocolConformance:
             "count",
             "distinct",
             "field_counts",
-            "aggregate",
             "explain",
             "all",
             "clear",
@@ -62,21 +62,6 @@ class TestProtocolConformance:
 
 
 class TestCompatAliases:
-    def test_provenance_database_module_still_imports(self):
-        from repro.provenance.database import (
-            DEFAULT_EQUALITY_INDEX_FIELDS,
-            DEFAULT_RANGE_INDEX_FIELDS,
-            ProvenanceDatabase as Legacy,
-            get_path,
-            merge_upsert_doc,
-        )
-
-        assert Legacy is ProvenanceDatabase
-        assert get_path({"a": {"b": 1}}, "a.b") == 1
-        assert merge_upsert_doc({"x": 1}, {"x": None})["x"] == 1
-        assert "task_id" in DEFAULT_EQUALITY_INDEX_FIELDS
-        assert "duration" in DEFAULT_RANGE_INDEX_FIELDS
-
     def test_top_level_exports(self):
         import repro
 
@@ -115,8 +100,8 @@ class TestDropInConsumers:
         assert api.status_counts() == {"FINISHED": 6}
         assert api.counts("workflow_id") == {"w0": 3, "w1": 3}
         assert api.task("t3")["workflow_id"] == "w1"
-        # traversal views build from the same find() surface
-        assert api.graph().is_acyclic()
+        # the graph oracle builds from the same find() surface
+        assert ProvenanceGraph.from_database(backend).is_acyclic()
 
     def test_explain_reports_a_plan_everywhere(self, backend):
         backend.upsert_many([task_payload(f"t{i}") for i in range(4)])
@@ -191,7 +176,7 @@ class TestVersionContract:
             backend.find({"workflow_id": "w1"}, sort=[("started_at", 1)])
             backend.count({})
             backend.distinct("workflow_id")
-            backend.aggregate([{"$count": "n"}])
+            backend.field_counts("status")
             backend.explain({})
             assert backend.version() == v, backend
             if hasattr(backend, "close"):

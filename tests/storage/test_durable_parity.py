@@ -6,9 +6,9 @@ compaction, and cold-start recovery must never change a query result.
 Hypothesis drives randomized op streams with **reopen events
 interleaved**, so every example may cross several crash-free restart
 boundaries (the crash-ful ones live in ``test_durability.py``), and
-every supported read — find/sort/limit, count, distinct, field_counts,
-aggregate — must match a single in-memory :class:`ProvenanceDatabase`
-fed the same stream.
+every supported read — find/sort/limit, count, distinct, field_counts
+— must match a single in-memory :class:`ProvenanceDatabase` fed the
+same stream.
 
 Documents are JSON-clean by construction (the durable store's contract;
 the provenance pipeline's normalised messages always are).
@@ -139,20 +139,6 @@ def _check_all_reads(durable, reference, filt, sort, limit):
     assert durable.field_counts("status", filt) == reference.field_counts(
         "status", filt
     )
-    pipeline = [
-        {"$match": filt},
-        {
-            "$group": {
-                "_id": "$workflow_id",
-                "n": {"$sum": 1},
-                "avg": {"$avg": "$duration"},
-                "top": {"$max": "$generated.y"},
-            }
-        },
-        {"$sort": {"n": -1}},
-        {"$limit": 4},
-    ]
-    assert durable.aggregate(pipeline) == reference.aggregate(pipeline)
     assert len(durable) == len(reference)
 
 

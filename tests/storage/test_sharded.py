@@ -177,9 +177,7 @@ class TestScatterGatherEdgeCases:
         assert sharded.find({}, sort=[("started_at", -1)], limit=3) == single.find(
             {}, sort=[("started_at", -1)], limit=3
         )
-        assert sharded.aggregate(
-            [{"$group": {"_id": "$status", "n": {"$sum": 1}}}]
-        ) == single.aggregate([{"$group": {"_id": "$status", "n": {"$sum": 1}}}])
+        assert sharded.field_counts("status") == single.field_counts("status")
 
     def test_empty_store_queries(self):
         sharded = ShardedProvenanceStore(4)
@@ -188,7 +186,6 @@ class TestScatterGatherEdgeCases:
         assert sharded.count() == 0
         assert sharded.distinct("workflow_id") == []
         assert sharded.field_counts("status") == {}
-        assert sharded.aggregate([{"$count": "n"}]) == [{"n": 0}]
 
     def test_unsorted_results_preserve_global_insertion_order(self):
         single, sharded = mirrored(40)
@@ -252,21 +249,6 @@ class TestScatterGatherEdgeCases:
         assert sharded.field_counts("status") == single.field_counts("status")
         assert sharded.field_counts("duration") == single.field_counts("duration")
 
-    def test_aggregate_targeted_and_scattered(self):
-        single, sharded = mirrored(30)
-        pipelines = [
-            [{"$match": {"workflow_id": "w1"}}, {"$group": {"_id": "$status", "n": {"$sum": 1}}}],
-            [
-                {"$match": {"status": "FINISHED"}},
-                {"$group": {"_id": "$workflow_id", "total": {"$sum": "$generated.y"}}},
-                {"$sort": {"total": -1}},
-                {"$limit": 3},
-            ],
-            [{"$sort": {"started_at": 1}}, {"$project": ["task_id", "started_at"]}],
-        ]
-        for pipe in pipelines:
-            assert sharded.aggregate(pipe) == single.aggregate(pipe), pipe
-
 
 class TestLifecycle:
     def test_clear_resets_everything(self):
@@ -303,9 +285,19 @@ class TestLifecycle:
         )
 
     def test_context_manager_closes_pool(self):
-        with ShardedProvenanceStore(2, scatter_parallel_min=0) as store:
-            store.upsert_many([make_doc(i, f"w{i}") for i in range(4)])
+        # the pool exists only once a re-delivery batch of at least
+        # ingest_parallel_min documents spans shards, as in production
+        docs = [make_doc(i, f"w{i}") for i in range(64)]
+        with ShardedProvenanceStore(2) as store:
+            store.upsert_many(docs)
+            assert store._pool is None  # first delivery inserts inline
+            assert store.upsert_many(docs) == 64  # re-delivery: all merges
+            pool = store._pool
+            assert pool is not None
             assert store.find({"status": "FINISHED"}) != []
+        assert store._pool is None
+        with pytest.raises(RuntimeError):
+            pool.submit(len, ())  # shut down, not merely dropped
         # close() is idempotent
         store.close()
 

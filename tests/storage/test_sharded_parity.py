@@ -116,26 +116,6 @@ def test_count_and_tallies_parity(stream, num_shards, filt):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    stream=doc_streams(),
-    num_shards=st.sampled_from([2, 4]),
-    filt=_filters,
-)
-def test_aggregate_parity(stream, num_shards, filt):
-    single, sharded = _mirror(stream, num_shards)
-    pipeline = [
-        {"$match": filt},
-        {"$group": {"_id": "$workflow_id", "n": {"$sum": 1}, "avg": {"$avg": "$duration"}, "top": {"$max": "$generated.y"}}},
-        {"$sort": {"n": -1}},
-        {"$limit": 4},
-    ]
-    assert sharded.aggregate(pipeline) == single.aggregate(pipeline)
-    assert sharded.aggregate([{"$count": "total"}]) == single.aggregate(
-        [{"$count": "total"}]
-    )
-
-
-@settings(max_examples=60, deadline=None)
 @given(stream=doc_streams(), num_shards=st.sampled_from([2, 4]))
 def test_explain_candidates_cover_matches(stream, num_shards):
     """Routing must never prune a shard that holds a match."""
