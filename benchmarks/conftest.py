@@ -1,10 +1,13 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures of the paper-reproduction benches.
 
-Every benchmark regenerates one of the paper's tables/figures: it runs
-the relevant sweep (timed via ``benchmark.pedantic`` — these are
-macro-benchmarks, one round each), asserts the qualitative shape the
-paper reports, and writes the measured rows to
-``benchmarks/results/<artefact>.txt`` for EXPERIMENTS.md.
+Every ``bench_*.py`` here regenerates one of the paper's tables or
+figures: it runs the relevant sweep (timed via ``benchmark.pedantic`` —
+these are macro-benchmarks, one round each), asserts the qualitative
+shape the paper reports, and writes the measured rows to
+``benchmarks/results/<artefact>.txt``.  That directory is a scratch
+sink, ignored by git: the tables are for reading after a run, and no
+number in them is a contract.  The repo's performance contract is
+``BENCHMARK.json`` (``python3 -m benchmarks.e2e``).
 """
 
 from __future__ import annotations

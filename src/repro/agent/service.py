@@ -26,9 +26,9 @@ ordering** (one turn of a session at a time, sessions freely
 interleaved).  :meth:`chat` is the blocking form — the calling thread
 helps drain its session's queue, so single-user callers (the
 :class:`~repro.agent.agent.ProvenanceAgent` facade) never touch the
-pool.  Turn throughput therefore scales with workers until the shared
-LLM endpoint saturates, which
-``benchmarks/bench_agent_serving.py`` measures.
+pool.  Replies do not depend on the interleaving
+(``tests/agent/test_agent_service.py::test_replies_identical_across_interleavings``);
+what a turn costs is the ``chat_session`` workload of ``BENCHMARK.json``.
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ header line, one OS thread per connection):
   closes the listener *last*, so a draining gateway answers 503 instead
   of refusing connections.
 
-``benchmarks/bench_async_gateway.py`` measures the result: sustained
-req/s across a 1..128 client sweep, tail latencies, and bounded-queue
-shedding past saturation.
+``tests/api/test_http.py`` holds it to that: serving threads bounded
+by the pool however many clients connect, and bounded-queue shedding;
+the ``sql_hit_http`` workload of ``BENCHMARK.json`` measures it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ bytes off its sockets, builds a :class:`WireRequest`, and hands it to
 matching, body parsing, content negotiation, error-code-to-status
 mapping, and response shaping — so a reply over HTTP is the in-process
 :class:`~repro.api.client.GatewayClient` reply byte for byte (the
-parity matrix in ``benchmarks/bench_gateway.py`` asserts it), and an
+parity matrix in ``tests/api/test_client_parity.py`` asserts it), and an
 unroutable request (unknown path, wrong method) is answered with an
 :class:`~repro.api.schemas.ErrorEnvelope` like every other failure.
 

@@ -4,7 +4,7 @@ The interactive counterpart to :class:`repro.provenance.graph.ProvenanceGraph`:
 the graph is maintained *incrementally* as messages arrive instead of
 rebuilt from a full document scan per question.  See
 ``docs/architecture.md`` ("Lineage subsystem") and
-``benchmarks/bench_lineage.py`` for the speedup/parity evidence.
+``tests/lineage/test_parity.py`` for the parity evidence.
 """
 
 from repro.lineage.index import LineageIndex

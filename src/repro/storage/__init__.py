@@ -21,8 +21,8 @@ package is the seam that makes it so in code:
   sharded coordinator.
 
 All stores are drop-in interchangeable; the parity suites in
-``tests/storage`` and ``benchmarks/bench_sharded_store.py`` /
-``benchmarks/bench_durable_store.py`` hold them to identical results —
+``tests/storage`` (``test_sharded_parity.py``, ``test_durable_parity.py``,
+``test_backend_protocol.py``) hold them to identical results —
 the durability suite additionally proves crash recovery by injecting a
 kill at every write boundary.
 """

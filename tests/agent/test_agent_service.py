@@ -223,6 +223,28 @@ class TestServing:
             (r.text, r.ok, r.code) for r in pooled
         ]
 
+    def test_sessions_share_one_query_cache_until_a_write(self, service):
+        """A historical question is executed once per store version,
+        whichever session asks it."""
+        question = "In the database, how many tasks have finished?"
+        service.create_session("a")
+        service.create_session("b")
+        first = service.chat("a", question)
+        repeat, other = service.chat("a", question), service.chat("b", question)
+        assert first.ok and first.details["cache"] == "miss"
+        assert repeat.details["cache"] == other.details["cache"] == "hit"
+        assert first.text == repeat.text == other.text
+        assert service.query_cache.stats()["hit_rate"] >= 0.5
+
+        store = service.db_tool.query_api.database
+        store.upsert(dict(_task_docs(1)[0], task_id="t-new"))
+        miss, hit = service.chat("b", question), service.chat("a", question)
+        assert (miss.details["cache"], hit.details["cache"]) == ("miss", "hit")
+        assert miss.ok and miss.text == hit.text != first.text  # 61 tasks now
+        # the agent's own tool/LLM records go to the broker, never into
+        # the store it is answering from
+        assert len(store) == 61
+
     def test_submit_after_close_rejected(self, service):
         service.create_session("a")
         service.close()

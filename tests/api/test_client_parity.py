@@ -1,8 +1,10 @@
 """Transport parity: GatewayClient and RemoteClient are interchangeable.
 
 The acceptance contract: for the same request, the in-process client
-and the HTTP client return **byte-identical JSON** — across all three
-query dialects, chat, lineage, CSV rendering, and error envelopes.
+and the HTTP client return **byte-identical JSON** — across all four
+query dialects, chat, lineage, CSV rendering, and error envelopes, over
+the 20-task ``stack`` and over the 2 000-task ``parity_stack`` (large
+frames, paged GROUP BY and graph replies).
 """
 
 from __future__ import annotations
@@ -12,9 +14,13 @@ import pytest
 from repro.api.aio import AsyncGatewayServer
 from repro.api.client import GatewayClient, RemoteClient
 from repro.api.schemas import ErrorEnvelope, QueryRequest, from_json
+from tests.api.conftest import PARITY_QUERIES
 
+#: ``PARITY_QUERIES`` (every dialect scalar/frame/paginated + errors),
+#: then the shapes only this file asks for; every task id named exists
+#: in both stacks
 QUERY_MATRIX = [
-    QueryRequest(dialect="filter", filter={"status": "FAILED"}),
+    *PARITY_QUERIES,
     QueryRequest(dialect="filter", filter={}, sort=(("started_at", -1),), limit=5),
     QueryRequest(dialect="filter", filter={"used.x": {"$gte": 15}}),
     QueryRequest(dialect="filter", filter={}, page_size=7),
@@ -22,24 +28,24 @@ QUERY_MATRIX = [
         dialect="pipeline",
         code="df[df['status'] == 'FINISHED'][['task_id', 'duration']]",
     ),
-    QueryRequest(dialect="pipeline", code="df['duration'].mean()"),
     QueryRequest(dialect="pipeline", code="df['status'].unique()"),
     QueryRequest(dialect="graph", operation="upstream", task_id="t5"),
     QueryRequest(dialect="graph", operation="causal_chain", task_id="t1", target="t4"),
     QueryRequest(dialect="graph", operation="impact_size", task_id="t10"),
     QueryRequest(dialect="graph", operation="roots"),
-    # error envelopes are part of the parity surface too
-    QueryRequest(dialect="sql"),
-    QueryRequest(dialect="pipeline", code="df.!!!"),
-    QueryRequest(dialect="graph", operation="upstream", task_id="ghost"),
+    # paging errors are part of the parity surface too
     QueryRequest(dialect="filter", filter={}, page_size=0),
     QueryRequest(dialect="filter", filter={}, cursor="garbage"),
 ]
 
 
 @pytest.fixture
-def transports(stack):
-    service, gateway, local = stack
+def transports(request):
+    """(in-process client, HTTP client) over one gateway: that of the
+    20-task ``stack``, or of the stack fixture an indirect param names."""
+    _service, gateway, local = request.getfixturevalue(
+        getattr(request, "param", "stack")
+    )
     server = AsyncGatewayServer(gateway).start()
     remote = RemoteClient.for_server(server)
     yield local, remote
@@ -47,6 +53,7 @@ def transports(stack):
     server.stop()
 
 
+@pytest.mark.parametrize("transports", ["stack", "parity_stack"], indirect=True)
 class TestByteParity:
     @pytest.mark.parametrize("request_obj", QUERY_MATRIX)
     def test_query_json_identical(self, transports, request_obj):
@@ -56,7 +63,7 @@ class TestByteParity:
     @pytest.mark.parametrize(
         "request_obj",
         [
-            QueryRequest(dialect="filter", filter={"status": "FAILED"}),
+            *PARITY_QUERIES[:3],  # whole, sorted + limited, one page
             QueryRequest(dialect="pipeline", code="len(df)"),  # 406 path
         ],
     )
@@ -66,28 +73,41 @@ class TestByteParity:
 
     def test_lineage_json_identical(self, transports):
         local, remote = transports
-        assert local.lineage_json("t3", depth=2) == remote.lineage_json(
-            "t3", depth=2
-        )
-        assert local.lineage_json("ghost") == remote.lineage_json("ghost")
+        # t64 heads a 64-task chain in the large stack, is unknown in the small
+        for task_id, depth in (("t3", 2), ("t64", 3), ("ghost", None)):
+            assert local.lineage_json(task_id, depth=depth) == remote.lineage_json(
+                task_id, depth=depth
+            )
 
     def test_chat_json_identical(self, transports):
         """Two sessions, same conversation, transport-identical replies."""
         local, remote = transports
         local.create_session("local-user")
         remote.create_session("remote-user")
-        script = [
+        for message in (
             "How many tasks have finished?",
+            "In the database, how many tasks have finished?",
             "In the database, how many tasks failed?",
+            "How many tasks failed in the database?",
             "What tasks are upstream of 't4'?",
-        ]
-        for message in script:
+            "What is the average duration per activity?",
+            "In the database, what is the average duration per activity?",
+            "Which activity has the highest average duration?",
+        ):
             a = from_json(local.chat_json("local-user", message))
             b = from_json(remote.chat_json("remote-user", message))
             # session_id naturally differs; everything else is identical
             assert (a.text, a.intent, a.ok, a.code, a.table, a.chart) == (
                 b.text, b.intent, b.ok, b.code, b.table, b.chart
-            )
+            ), message
+
+
+def test_every_paginated_row_pages_over_the_large_stack(parity_stack):
+    """A one-page reply would compare no ``next_cursor`` across transports."""
+    client = parity_stack[2]
+    for request_obj in QUERY_MATRIX:
+        if request_obj.page_size:
+            assert client.query(request_obj).page.next_cursor, request_obj
 
 
 class TestInterfaceParity:

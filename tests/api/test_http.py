@@ -200,19 +200,59 @@ class TestKeepAlive:
         sock_after = conn.sock
         assert sock_after is not None  # never dropped to reconnect
 
+    def test_serving_threads_do_not_grow_with_connections(self, gateway, stack):
+        """64 clients hold a keep-alive connection each and ask at once:
+        one loop thread and the sized executor serve them all, and every
+        session hears what a lone in-process session hears."""
+        service = stack[0]
+        question = "How many tasks have finished?"
+        service.create_session("alone")
+        expected = service.chat("alone", question)
+        for i in range(64):
+            service.create_session(f"s{i}")
+        threads_before = set(threading.enumerate())
+        server = AsyncGatewayServer(gateway, executor_workers=4).start()
+        body = json.dumps({"message": question})
+        socks = [socket.create_connection(server.address, timeout=10) for _ in range(64)]
+        try:
+            for i, sock in enumerate(socks):
+                sock.sendall(
+                    f"POST /v1/sessions/s{i}/chat HTTP/1.1\r\nHost: t\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n{body}".encode()
+                )
+            for sock in socks:
+                status, headers, raw = read_reply(sock)
+                assert status == 200 and "connection" not in headers  # kept alive
+                reply = from_json(raw)
+                assert (reply.text, reply.intent, reply.ok, reply.code) == (
+                    expected.text, expected.intent.value, True, expected.code
+                )
+            # every connection is still open: a thread each would show here
+            # (whatever its name: count what started since the server did)
+            serving = [t.name for t in set(threading.enumerate()) - threads_before]
+            assert len(serving) <= server.executor_workers + 1, serving  # + the loop
+        finally:
+            for sock in socks:
+                sock.close()
+            server.stop()
+
+
+def read_reply(sock):
+    """One whole reply off a socket: (status, headers, body)."""
+    reader = sock.makefile("rb")
+    status = int(reader.readline().split()[1])
+    headers = {}
+    for line in iter(reader.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers["content-length"]))
+
 
 def raw_exchange(server, request: bytes):
-    """Send raw bytes; read one whole reply: (status, headers, body)."""
+    """Send raw bytes on a fresh connection; read one whole reply."""
     with socket.create_connection(server.address, timeout=10) as sock:
         sock.sendall(request)
-        reader = sock.makefile("rb")
-        status = int(reader.readline().split()[1])
-        headers = {}
-        for line in iter(reader.readline, b"\r\n"):
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = reader.read(int(headers["content-length"]))
-    return status, headers, body
+        return read_reply(sock)
 
 
 def head_of_length(n: int) -> bytes:
@@ -368,9 +408,45 @@ class TestAdmissionOverHTTP:
             release.set()
             holder.join(timeout=10)
             assert replies["occupant"][0] == 200
+            # the shed is on the books, and a remote reader sees the books
+            snapshot = admission.snapshot()
+            assert snapshot["overloaded"] == 1
+            assert snapshot["queued_high_watermark"] <= admission.max_queue_depth
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                _, _, raw = call(conn, "GET", "/v1/stats")
+                assert from_json(raw).admission["overloaded"] == 1
+            finally:
+                conn.close()
         finally:
             release.set()
             gateway.stats = original_stats
+            server.stop()
+
+    def test_client_id_header_names_the_rate_bucket(self, gateway):
+        """``X-Client-Id`` is the identity, not the socket: a noisy id is
+        limited across reconnects, another id on the same host is not."""
+        admission = AdmissionController(
+            max_concurrency=4, client_rate=0.001, client_burst=3.0
+        )
+        server = AsyncGatewayServer(gateway, admission=admission).start()
+
+        def stats_as(client_id):
+            return raw_exchange(
+                server,
+                f"GET /v1/stats HTTP/1.1\r\nHost: t\r\nX-Client-Id: {client_id}\r\n\r\n"
+                .encode(),
+            )
+
+        try:
+            statuses = [stats_as("noisy")[0] for _ in range(5)]
+            assert statuses == [200, 200, 200, 429, 429]  # the burst, then shed
+            status, headers, body = stats_as("noisy")
+            assert status == 429 and int(headers["retry-after"]) >= 1
+            assert from_json(body).code == ErrorCode.RATE_LIMITED
+            assert [stats_as("calm")[0] for _ in range(3)] == [200, 200, 200]
+            assert admission.snapshot()["rate_limited"] == 3
+        finally:
             server.stop()
 
     def test_noisy_session_is_isolated(self, gateway, stack):

@@ -11,9 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from benchmarks.bench_gateway import PARITY_QUERIES, _make_stack
 from repro.api import stages
-from repro.api.client import GatewayClient
 from repro.api.schemas import (
     ErrorCode,
     ErrorEnvelope,
@@ -25,7 +23,7 @@ from repro.api.schemas import (
 from repro.query import parse_query
 from repro.query.engine import run_cached_pipeline
 from repro.sql import compile_sql
-from tests.api.conftest import task_doc
+from tests.api.conftest import PARITY_QUERIES, task_doc
 
 #: ``next_cursor`` of each request's first page over the 20-document
 #: fixture store, minted by the gateway at the commit before the
@@ -180,15 +178,6 @@ class TestCountersAddUp:
         assert sum(stats.errors.values()) == 1
         cache_after = service.query_cache.stats()
         assert cache_after["hits"] - cache_before["hits"] == hits
-
-
-@pytest.fixture(scope="module")
-def parity_stack():
-    """The 2 000-task stack ``benchmarks/bench_gateway.py`` runs its
-    27-request byte-parity matrix over."""
-    service, gateway = _make_stack(realtime_factor=0.0)
-    yield service, gateway, GatewayClient(gateway)
-    service.close()
 
 
 def _compiled(request_obj: QueryRequest):

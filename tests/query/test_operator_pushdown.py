@@ -411,6 +411,7 @@ class TestEngineIntegration:
         [
             ("df['duration'].mean()", "partial"),
             ("df[df['status'] == 'FAILED']['duration'].sum()", "partial"),
+            ("df['used.x'].mean()", "partial"),  # a nested leaf, flattened shard-side
             ("len(df)", "partial"),
             ("df['status'].unique()", "partial"),
             ("df.groupby('workflow_id')['duration'].mean()", "partial"),

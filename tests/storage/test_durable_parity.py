@@ -22,6 +22,7 @@ import tempfile
 from hypothesis import given, settings, strategies as st
 
 from repro.storage import DurableStore, ProvenanceDatabase, open_durable_sharded
+from repro.storage.durable import FSYNC_POLICIES
 
 _WORKFLOWS = ["w0", "w1", "w2", "w3", "w4", None]
 _STATUSES = ["FINISHED", "FAILED", "RUNNING", None]
@@ -29,6 +30,8 @@ _TASK_IDS = [f"t{i}" for i in range(12)]
 
 #: aggressive geometry so even short streams cross rotations/snapshots
 _GEOMETRY = dict(segment_max_bytes=1024, snapshot_every_ops=5, fsync="never")
+
+_fsync_policies = st.sampled_from(FSYNC_POLICIES)
 
 
 @st.composite
@@ -143,13 +146,17 @@ def _check_all_reads(durable, reference, filt, sort, limit):
 
 
 @settings(max_examples=50, deadline=None)
-@given(ops=op_streams(), filt=_filters, sort=_sorts, limit=_limits)
-def test_durable_parity_across_reopen_cycles(ops, filt, sort, limit):
+@given(
+    ops=op_streams(), filt=_filters, sort=_sorts, limit=_limits, fsync=_fsync_policies
+)
+def test_durable_parity_across_reopen_cycles(ops, filt, sort, limit, fsync):
+    """When a record is fsynced changes what a power cut can take, never
+    what a clean reopen finds: every policy recovers the same contents."""
     tmp = tempfile.mkdtemp(prefix="durable-parity-")
     durable = None
     try:
         reference, durable = _replay(
-            tmp, ops, lambda p: DurableStore(p, **_GEOMETRY)
+            tmp, ops, lambda p: DurableStore(p, **{**_GEOMETRY, "fsync": fsync})
         )
         _check_all_reads(durable, reference, filt, sort, limit)
         # one final cold start over everything the stream produced
