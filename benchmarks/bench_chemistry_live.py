@@ -62,12 +62,9 @@ def test_llama8b_context_window_overflow_on_chemistry(benchmark):
         ctx = CaptureContext()
         agent = ProvenanceAgent(ctx, model="llama3-8b")
         run_bde_workflow("CCO", ctx, n_conformers=2)
-        cm = agent.context_manager
-        return agent.query_tool.builder.build(
+        return agent.context_manager.prompt(
+            agent.query_tool.prompt_config,
             "Which bond has the highest dissociation free energy?",
-            schema_payload=cm.schema_payload(),
-            values_payload=cm.values_payload(),
-            guidelines_text=cm.guidelines_text(),
         )
 
     prompt = benchmark.pedantic(build_prompt, rounds=1, iterations=1)
@@ -90,13 +87,7 @@ def test_llama8b_context_window_overflow_on_chemistry(benchmark):
     ctx2 = CaptureContext()
     cm2 = ContextManager(ctx2.broker).start()
     run_synthetic_campaign(ctx2, n_inputs=100)
-    from repro.agent.prompts import PromptBuilder
     from repro.agent.tools.in_memory_query import FULL_CONTEXT
 
-    synth_prompt = PromptBuilder(FULL_CONTEXT).build(
-        "Which host ran the most tasks?",
-        schema_payload=cm2.schema_payload(),
-        values_payload=cm2.values_payload(),
-        guidelines_text=cm2.guidelines_text(),
-    )
+    synth_prompt = cm2.prompt(FULL_CONTEXT, "Which host ran the most tasks?")
     assert count_tokens(synth_prompt) < 8_192

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from benchmarks.conftest import write_result
-from repro.agent.prompts import PromptBuilder
 from repro.evaluation.configs import CONFIGURATIONS
 from repro.llm.tokenizer import count_tokens
 from repro.viz.ascii import series_table
@@ -16,12 +15,7 @@ def test_table2_configurations(benchmark, eval_env, results_dir):
     def measure():
         rows = []
         for label, cfg in CONFIGURATIONS.items():
-            prompt = PromptBuilder(cfg).build(
-                sample_query,
-                schema_payload=cm.schema_payload(),
-                values_payload=cm.values_payload(),
-                guidelines_text=cm.guidelines_text(),
-            )
+            prompt = cm.prompt(cfg, sample_query)
             rows.append(
                 {
                     "label": label,

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.e2e.campaign import run_campaign
 from repro.agent.context_manager import ContextManager
 from repro.capture.context import CaptureContext
 from repro.evaluation.query_set import build_query_set
 from repro.evaluation.runner import ExperimentRunner
-from repro.workflows.synthetic import run_synthetic_campaign
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -42,10 +42,15 @@ def results_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def eval_env():
-    """Campaign (100 inputs, as in the paper) + golden set + runner."""
-    ctx = CaptureContext()
+    """Campaign (100 inputs, as in the paper) + golden set + runner.
+
+    Seeded end to end — campaign id, inputs and workflow ids — so two
+    runs write the same tables (CI diffs them).
+    """
+    ctx = CaptureContext(seed="paper-eval")
     cm = ContextManager(ctx.broker).start()
-    run_synthetic_campaign(ctx, n_inputs=100)
+    # run_synthetic_campaign's inputs, with workflow ids seeded as well
+    run_campaign(ctx, 100, "synthetic-campaign")
     queries = build_query_set(cm.to_frame())
     runner = ExperimentRunner(cm, queries)
     return ctx, cm, queries, runner

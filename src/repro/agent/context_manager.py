@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from functools import lru_cache
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.agent.guidelines import GuidelineStore
+from repro.agent.prompts import PromptBuilder, PromptConfig, render_user_query
 from repro.agent.schema import DynamicDataflowSchema
 from repro.dataframe import DataFrame, flatten_record
 from repro.dataframe.column import Column
@@ -36,6 +38,9 @@ from repro.messaging.message import Envelope
 from repro.provenance.messages import normalise_doc
 
 __all__ = ["ContextManager"]
+
+#: prompt prefixes kept (prompt config x schema revision x guideline set)
+_MAX_PREFIXES = 16
 
 
 def _append_frames(cached: DataFrame, delta: DataFrame) -> DataFrame:
@@ -96,6 +101,8 @@ class ContextManager:
         #: deque evicts, the cache is marked stale and this stays empty)
         self._frame_pending: list[dict[str, Any]] = []
         self._frame_stale = False
+        #: (config, schema revision, guidelines text) -> prompt prefix
+        self._kept_prefix = lru_cache(maxsize=_MAX_PREFIXES)(self._render_prefix)
         self.messages_received = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -176,6 +183,42 @@ class ContextManager:
 
     def guidelines_text(self) -> str:
         return self.guidelines.render()
+
+    def prompt_prefix(
+        self, config: PromptConfig, guidelines_text: str | None = None
+    ) -> str:
+        """Every prompt section but the question, for the live context.
+
+        Kept per ``(config, schema revision, guidelines text)``: the
+        schema saturates after the first few workflows, so between turns
+        this is a lookup.  ``guidelines_text`` defaults to the manager's
+        own store; a session passes its own.
+        """
+        if guidelines_text is None:
+            guidelines_text = self.guidelines_text()
+        # under the lock ingest() updates the schema under, so the
+        # revision read here is the revision of the payloads rendered
+        with self._lock:
+            return self._kept_prefix(config, self.schema.revision, guidelines_text)
+
+    def _render_prefix(
+        self, config: PromptConfig, _revision: int, guidelines_text: str
+    ) -> str:
+        """Uncached; ``_revision`` only keys the result in ``_kept_prefix``."""
+        return PromptBuilder(config).prefix(
+            schema_payload=self.schema_payload(),
+            values_payload=self.values_payload(),
+            guidelines_text=guidelines_text,
+        )
+
+    def prompt(
+        self,
+        config: PromptConfig,
+        question: str,
+        guidelines_text: str | None = None,
+    ) -> str:
+        """The prompt a turn sends: the kept prefix plus ``question``."""
+        return self.prompt_prefix(config, guidelines_text) + render_user_query(question)
 
     def add_user_guideline(self, text: str) -> None:
         self.guidelines.add_user_guideline(text)

@@ -14,7 +14,7 @@ from typing import Any, Mapping
 
 from repro.llm import prompt_format as pf
 
-__all__ = ["PromptConfig", "PromptBuilder", "FEW_SHOT_EXAMPLES", "cached_builder"]
+__all__ = ["PromptConfig", "PromptBuilder", "FEW_SHOT_EXAMPLES", "render_user_query"]
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,26 @@ FEW_SHOT_EXAMPLES: tuple[tuple[str, str], ...] = (
 )
 
 
+def render_user_query(user_query: str) -> str:
+    """The one section that changes between turns; always last."""
+    return pf.render_section(pf.SECTION_USER_QUERY, user_query)
+
+
 class PromptBuilder:
-    """Assembles prompts from the agent's context per a PromptConfig."""
+    """Assembles prompts from the agent's context per a PromptConfig.
+
+    A prompt is :meth:`prefix` — every section the context decides —
+    plus :func:`render_user_query`; the live agent takes the prefix from
+    :meth:`ContextManager.prompt_prefix
+    <repro.agent.context_manager.ContextManager.prompt_prefix>`, which
+    keeps it until the schema or the guidelines move.
+    """
 
     def __init__(self, config: PromptConfig):
         self.config = config
 
-    def build(
+    def prefix(
         self,
-        user_query: str,
         *,
         schema_payload: Mapping[str, Any] | None = None,
         values_payload: Mapping[str, Any] | None = None,
@@ -143,20 +154,9 @@ class PromptBuilder:
             parts.append(pf.render_json_section(pf.SECTION_VALUES, values_payload))
         if cfg.guidelines and guidelines_text:
             parts.append(pf.render_section(pf.SECTION_GUIDELINES, guidelines_text))
-        parts.append(pf.render_section(pf.SECTION_USER_QUERY, user_query))
-        return "\n".join(parts)
+        # sections are separated by one blank line, the last one included
+        return "".join(f"{part}\n" for part in parts)
 
-
-#: process-wide builder cache; PromptBuilder is stateless (it holds only
-#: its frozen config), so instances are safely shared across sessions,
-#: tools, and threads.  Writes race benignly: two threads may build the
-#: same config once each, one wins the slot.
-_BUILDER_CACHE: dict[PromptConfig, PromptBuilder] = {}
-
-
-def cached_builder(config: PromptConfig) -> PromptBuilder:
-    """A shared :class:`PromptBuilder` for ``config`` (per-turn hot path)."""
-    builder = _BUILDER_CACHE.get(config)
-    if builder is None:
-        builder = _BUILDER_CACHE[config] = PromptBuilder(config)
-    return builder
+    def build(self, user_query: str, **context: Any) -> str:
+        """``prefix(**context)`` plus the question."""
+        return self.prefix(**context) + render_user_query(user_query)

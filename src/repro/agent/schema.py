@@ -36,8 +36,10 @@ class FieldInfo:
     activities: set[str] = field(default_factory=set)
     occurrences: int = 0
 
-    def observe(self, value: Any, activity: str) -> None:
+    def observe(self, value: Any, activity: str) -> bool:
+        """Fold one value in; True when the type or the activities moved."""
         self.occurrences += 1
+        before = (self.inferred_type, len(self.activities))
         self.activities.add(activity)
         t = _type_name(value)
         if self.inferred_type == "unknown":
@@ -50,6 +52,7 @@ class FieldInfo:
             and value not in self.examples
         ):
             self.examples.append(value)
+        return before != (self.inferred_type, len(self.activities))
 
 
 class DynamicDataflowSchema:
@@ -60,15 +63,21 @@ class DynamicDataflowSchema:
         self._activities: set[str] = set()
         self._value_examples: dict[str, list[Any]] = {}
         self.messages_seen = 0
+        #: moves only when something a prompt payload shows moved (a new
+        #: field, activity or example value, a promoted type) — at most
+        #: once per message, and not at all once the schema has saturated
+        self.revision = 0
 
     # -- ingestion --------------------------------------------------------------
     def update(self, message: Mapping[str, Any]) -> None:
         """Fold one task message into the schema."""
         self.messages_seen += 1
         activity = str(message.get("activity_id", ""))
+        moved = False
         if activity:
+            moved = activity not in self._activities
             self._activities.add(activity)
-            self._observe_value("activity_id", activity)
+            moved |= self._observe_value("activity_id", activity)
         for section in ("used", "generated"):
             payload = message.get(section) or {}
             if not isinstance(payload, Mapping):
@@ -80,24 +89,29 @@ class DynamicDataflowSchema:
                 info = self._fields.get(name)
                 if info is None:
                     info = self._fields[name] = FieldInfo(name)
-                info.observe(value, activity)
-                self._observe_value(name, value)
+                    moved = True
+                moved |= info.observe(value, activity)
+                moved |= self._observe_value(name, value)
         # common-field value examples that help disambiguation
         for key in ("status", "hostname"):
             if message.get(key):
-                self._observe_value(key, message[key])
+                moved |= self._observe_value(key, message[key])
         for key in ("telemetry_at_end", "telemetry_at_start"):
             tele = message.get(key)
             if isinstance(tele, Mapping):
                 for name, value in flatten_record({key: tele}).items():
-                    self._observe_value(name, value)
+                    moved |= self._observe_value(name, value)
+        self.revision += moved
 
-    def _observe_value(self, name: str, value: Any) -> None:
+    def _observe_value(self, name: str, value: Any) -> bool:
+        """Keep ``value`` as an example of ``name``; True when it was new."""
         if not _is_example_worthy(value):
-            return
+            return False
         bucket = self._value_examples.setdefault(name, [])
         if len(bucket) < _MAX_EXAMPLES and value not in bucket:
             bucket.append(value)
+            return True
+        return False
 
     # -- introspection ---------------------------------------------------------------
     @property

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.agent.context_manager import ContextManager
-from repro.agent.prompts import PromptConfig, cached_builder
+from repro.agent.prompts import PromptConfig
 from repro.agent.tools.base import Tool, ToolResult
 from repro.agent.tools.in_memory_query import FULL_CONTEXT
 from repro.errors import QueryExecutionError, QuerySyntaxError
@@ -71,7 +71,7 @@ class DatabaseQueryTool(Tool):
         self.context_manager = context_manager
         self.llm = llm
         self.model = model
-        self.builder = cached_builder(prompt_config)
+        self.prompt_config = prompt_config
         # explicit None check: an empty filter means "every document"
         self.base_filter = dict(base_filter) if base_filter is not None else {
             "type": "task"
@@ -93,20 +93,11 @@ class DatabaseQueryTool(Tool):
         question = str(kwargs.get("question", "")).strip()
         if not question:
             return ToolResult(ok=False, summary="empty question", error="no question")
-        cm = self.context_manager
-        guidelines_text = kwargs.get("guidelines_text")
-        if guidelines_text is None:
-            guidelines_text = cm.guidelines_text()
         model = kwargs.get("model") or self.model
-        prompt_config = kwargs.get("prompt_config")
-        builder = (
-            self.builder if prompt_config is None else cached_builder(prompt_config)
-        )
-        prompt = builder.build(
+        prompt = self.context_manager.prompt(
+            kwargs.get("prompt_config") or self.prompt_config,
             question,
-            schema_payload=cm.schema_payload(),
-            values_payload=cm.values_payload(),
-            guidelines_text=guidelines_text,
+            kwargs.get("guidelines_text"),
         )
         response = self.llm.complete(
             ChatRequest(model=model, prompt=prompt, query_id=question)

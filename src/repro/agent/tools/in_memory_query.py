@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.agent.context_manager import ContextManager
-from repro.agent.prompts import PromptConfig, cached_builder
+from repro.agent.prompts import PromptConfig
 from repro.agent.tools.base import Tool, ToolResult
 from repro.errors import QueryExecutionError, QuerySyntaxError
 from repro.llm.service import ChatRequest, LLMServer
@@ -55,7 +55,7 @@ class InMemoryQueryTool(Tool):
         self.context_manager = context_manager
         self.llm = llm
         self.model = model
-        self.builder = cached_builder(prompt_config)
+        self.prompt_config = prompt_config
         self.max_retries = max_retries
 
     def input_schema(self) -> dict[str, Any]:
@@ -71,19 +71,11 @@ class InMemoryQueryTool(Tool):
             return ToolResult(ok=False, summary="empty question", error="no question")
 
         cm = self.context_manager
-        prompt_config = kwargs.get("prompt_config")
-        builder = (
-            self.builder if prompt_config is None else cached_builder(prompt_config)
-        )
-        guidelines_text = kwargs.get("guidelines_text")
-        if guidelines_text is None:
-            guidelines_text = cm.guidelines_text()
         model = kwargs.get("model") or self.model
-        prompt = builder.build(
+        prompt = cm.prompt(
+            kwargs.get("prompt_config") or self.prompt_config,
             question,
-            schema_payload=cm.schema_payload(),
-            values_payload=cm.values_payload(),
-            guidelines_text=guidelines_text,
+            kwargs.get("guidelines_text"),
         )
         frame = cm.to_frame()
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.agent.context_manager import ContextManager
-from repro.agent.prompts import PromptBuilder
 from repro.evaluation.configs import CONFIGURATIONS
 from repro.evaluation.judges import JUDGES, LLMJudge, RuleBasedScorer
 from repro.evaluation.query_set import EvalQuery
@@ -57,22 +56,11 @@ class ExperimentRunner:
     n_reps: int = 3
 
     def __post_init__(self) -> None:
-        self._prompt_cache: dict[tuple[str, str], str] = {}
         self._rule = RuleBasedScorer()
 
     # -- prompt assembly ---------------------------------------------------------
     def prompt_for(self, config_label: str, query: EvalQuery) -> str:
-        key = (config_label, query.qid)
-        if key not in self._prompt_cache:
-            cm = self.context_manager
-            builder = PromptBuilder(CONFIGURATIONS[config_label])
-            self._prompt_cache[key] = builder.build(
-                query.nl,
-                schema_payload=cm.schema_payload(),
-                values_payload=cm.values_payload(),
-                guidelines_text=cm.guidelines_text(),
-            )
-        return self._prompt_cache[key]
+        return self.context_manager.prompt(CONFIGURATIONS[config_label], query.nl)
 
     # -- execution --------------------------------------------------------------------
     def run(

@@ -358,43 +358,51 @@ class LineageIndex:
         with self._lock:
             return self._topo_order(self._nodes) is not None
 
-    def _topo_order(self, nodes: Iterable[str]) -> list[str] | None:
-        """Kahn's algorithm over a node subset; None when cyclic."""
-        node_set = set(nodes)
+    def _topo_order(self, nodes: Mapping[str, Any]) -> list[str] | None:
+        """Kahn's algorithm over a node subset; None when cyclic.
+
+        ``nodes`` is a mapping keyed by task id; the queue is seeded in
+        its (arrival) order.
+        """
         indeg = {
-            n: sum(1 for p in self._in.get(n, ()) if p in node_set and p != n)
-            for n in node_set
+            n: sum(1 for p in self._in.get(n, ()) if p in nodes and p != n)
+            for n in nodes
         }
-        ready = deque(n for n in node_set if indeg[n] == 0)
+        ready = deque(n for n in nodes if indeg[n] == 0)
         order: list[str] = []
         while ready:
             node = ready.popleft()
             order.append(node)
             for child in self._out.get(node, ()):
-                if child in node_set and child != node:
+                if child in nodes and child != node:
                     indeg[child] -= 1
                     if indeg[child] == 0:
                         ready.append(child)
         # a self-loop is a cycle: it never reaches the ready queue
-        if len(order) != len(node_set) or any(
-            n in self._out.get(n, ()) for n in node_set
+        if len(order) != len(nodes) or any(
+            n in self._out.get(n, ()) for n in nodes
         ):
             return None
         return order
 
     def critical_path(self, workflow_id: str | None = None) -> list[str]:
-        """Longest chain of dependent tasks (optionally one workflow's)."""
+        """Longest chain of dependent tasks (optionally one workflow's).
+
+        Equally long chains tie on arrival order — the earliest-arrived
+        tail, and per node the earliest-arrived parent — so the answer
+        does not depend on string hashing.
+        """
         with self._lock:
-            if workflow_id is None:
-                nodes: Iterable[str] = self._nodes
-            else:
-                nodes = [
+            members: Iterable[str] = self._nodes
+            if workflow_id is not None:
+                members = [
                     n
                     for n, meta in self._nodes.items()
                     if meta.get("workflow_id") == workflow_id
                 ]
-            node_set = set(nodes)
-            order = self._topo_order(node_set)
+            # task id -> arrival rank within the subset
+            rank = {n: i for i, n in enumerate(members)}
+            order = self._topo_order(rank)
             if order is None:
                 raise ProvenanceError("critical path requires an acyclic graph")
             if not order:
@@ -405,12 +413,14 @@ class LineageIndex:
             for node in order:
                 length, prev = 0, None
                 for parent in self._in.get(node, ()):
-                    if parent in node_set and best_len.get(parent, 0) + 1 > length:
-                        length = best_len[parent] + 1
-                        prev = parent
+                    if parent not in rank:
+                        continue
+                    via = best_len[parent] + 1
+                    if via > length or (via == length and rank[parent] < rank[prev]):
+                        length, prev = via, parent
                 best_len[node] = length
                 best_prev[node] = prev
-            tail = max(order, key=lambda n: best_len[n])
+            tail = max(rank, key=best_len.__getitem__)
             path = [tail]
             while best_prev[path[-1]] is not None:
                 path.append(best_prev[path[-1]])  # type: ignore[arg-type]

@@ -10,11 +10,19 @@ model **only** if its section is actually present in the prompt text.
 Structured payloads (schema, example values) are embedded as JSON blocks
 so the perceiving side recovers precisely the fields the prompt carried
 — no more, no less.
+
+Only what the builder rendered is structure: a section starts at a line
+that *is* its marker, :func:`render_section` indents any such line
+inside a body (user guidelines and questions are free text), and the
+user-query section — always last — runs to the end of the prompt.  So a
+prompt is ``prefix + question section`` and :func:`split_user_query`
+takes it apart exactly where the builder joined it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Mapping
 
 __all__ = [
@@ -29,8 +37,9 @@ __all__ = [
     "SECTION_USER_QUERY",
     "render_section",
     "render_json_section",
-    "extract_section",
-    "extract_json_section",
+    "split_user_query",
+    "split_sections",
+    "parse_json_body",
 ]
 
 SECTION_ROLE = "## Role"
@@ -54,10 +63,15 @@ _ALL_SECTIONS = (
     SECTION_GUIDELINES,
     SECTION_USER_QUERY,
 )
+_MARKER_LINE = re.compile(
+    "^(?:%s)$" % "|".join(map(re.escape, _ALL_SECTIONS)), re.MULTILINE
+)
+_USER_QUERY_HEAD = f"{SECTION_USER_QUERY}\n"
 
 
 def render_section(marker: str, body: str) -> str:
-    return f"{marker}\n{body.strip()}\n"
+    body = _MARKER_LINE.sub(r" \g<0>", body.strip())
+    return f"{marker}\n{body}\n"
 
 
 def render_json_section(marker: str, payload: Mapping[str, Any]) -> str:
@@ -65,22 +79,30 @@ def render_json_section(marker: str, payload: Mapping[str, Any]) -> str:
     return f"{marker}\n```json\n{body}\n```\n"
 
 
-def extract_section(prompt: str, marker: str) -> str | None:
-    """Return the body of a section, or None when absent."""
-    start = prompt.find(marker)
-    if start < 0:
-        return None
-    body_start = start + len(marker)
-    end = len(prompt)
-    for other in _ALL_SECTIONS:
-        idx = prompt.find(other, body_start)
-        if idx >= 0:
-            end = min(end, idx)
-    return prompt[body_start:end].strip()
+def split_user_query(prompt: str) -> tuple[str, str]:
+    """``(prefix, question section)``; the second is ``""`` when absent."""
+    if prompt.startswith(_USER_QUERY_HEAD):
+        return "", prompt
+    cut = prompt.find("\n" + _USER_QUERY_HEAD) + 1
+    return (prompt[:cut], prompt[cut:]) if cut else (prompt, "")
 
 
-def extract_json_section(prompt: str, marker: str) -> dict[str, Any] | None:
-    body = extract_section(prompt, marker)
+def split_sections(text: str) -> dict[str, str]:
+    """Body of every section in ``text``, keyed by marker (first one wins)."""
+    sections: dict[str, str] = {}
+    marks = list(_MARKER_LINE.finditer(text))
+    for mark, following in zip(marks, [*marks[1:], None]):
+        marker = mark.group()
+        last = following is None or marker == SECTION_USER_QUERY
+        end = len(text) if last else following.start()
+        sections.setdefault(marker, text[mark.end() : end].strip())
+        if last:
+            break
+    return sections
+
+
+def parse_json_body(body: str | None) -> dict[str, Any] | None:
+    """The payload of a :func:`render_json_section` body; None if unreadable."""
     if body is None:
         return None
     text = body

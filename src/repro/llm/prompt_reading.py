@@ -6,6 +6,13 @@ which baseline instructions are present, which fields the dataflow
 schema section lists, which example values are given, which guidelines
 apply, and the user query itself.
 
+A prompt is a prefix (every section but the last) plus the user-query
+section, and only the second changes between turns, so the two are read
+separately: :func:`perceive_prefix` once per distinct prefix — the LLM
+server keeps the result the way a serving stack keeps a KV prefix cache
+— and :func:`with_question` per turn.  :func:`perceive` is the two in
+sequence.
+
 Context-window truncation happens here too: when the prompt exceeds the
 model's window, the *tail* of the schema/value sections is effectively
 lost (provider-side truncation keeps the beginning).  That is the
@@ -15,12 +22,12 @@ workflow, whose schema is wide and nested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.llm import prompt_format as pf
 from repro.llm.tokenizer import count_tokens
 
-__all__ = ["PerceivedContext", "perceive"]
+__all__ = ["PerceivedContext", "perceive", "perceive_prefix", "with_question"]
 
 
 @dataclass
@@ -83,37 +90,61 @@ class PerceivedContext:
 
 def perceive(prompt: str, context_window: int) -> PerceivedContext:
     """Parse the prompt into a PerceivedContext, honouring the window."""
-    ctx = PerceivedContext()
-    ctx.prompt_tokens = count_tokens(prompt)
+    prefix, question = pf.split_user_query(prompt)
+    return with_question(perceive_prefix(prefix), prefix, question, context_window)
 
-    if ctx.prompt_tokens > context_window:
-        ctx.truncated = True
-        # keep the fraction of the prompt that fits; the tail is lost
-        keep_ratio = context_window / ctx.prompt_tokens
-        keep_chars = int(len(prompt) * keep_ratio)
-        visible = prompt[:keep_chars]
-        # the user query is appended last, but providers keep it by moving
-        # it inside the window; simulate that by re-attaching it
-        user_q = pf.extract_section(prompt, pf.SECTION_USER_QUERY)
-        if user_q is not None and pf.SECTION_USER_QUERY not in visible:
-            visible += f"\n{pf.SECTION_USER_QUERY}\n{user_q}\n"
-        prompt = visible
 
-    ctx.has_role = pf.extract_section(prompt, pf.SECTION_ROLE) is not None
-    ctx.has_job = pf.extract_section(prompt, pf.SECTION_JOB) is not None
-    ctx.has_df_description = (
-        pf.extract_section(prompt, pf.SECTION_DF_DESCRIPTION) is not None
+def perceive_prefix(prefix: str) -> PerceivedContext:
+    """Everything before the user query: read once per distinct prefix."""
+    ctx = _read(prefix)
+    ctx.prompt_tokens = count_tokens(prefix)
+    return ctx
+
+
+def with_question(
+    base: PerceivedContext, prefix: str, question: str, context_window: int
+) -> PerceivedContext:
+    """``base`` plus this turn's question section (``base`` is only read).
+
+    ``prefix`` ends on a line break, so the two token counts add up to
+    the whole prompt's.  A prompt over the window is read from its full
+    text: what the model sees then depends on where the cut falls.
+    """
+    tokens = base.prompt_tokens + count_tokens(question)
+    user_query = question[len(pf.SECTION_USER_QUERY) :].strip()
+    if tokens <= context_window:
+        return replace(base, user_query=user_query, prompt_tokens=tokens)
+    # keep the fraction of the prompt that fits; the tail is lost
+    prompt = prefix + question
+    keep_chars = int(len(prompt) * (context_window / tokens))
+    visible = prompt[:keep_chars]
+    # the user query is appended last, but providers keep it by moving
+    # it inside the window; simulate that by re-attaching it
+    if question and keep_chars < len(prefix) + len(pf.SECTION_USER_QUERY):
+        visible += f"\n{pf.SECTION_USER_QUERY}\n{user_query}\n"
+    ctx = _read(visible)
+    ctx.prompt_tokens = tokens
+    ctx.truncated = True
+    return ctx
+
+
+def _read(text: str) -> PerceivedContext:
+    """What the sections of ``text`` carry."""
+    sections = pf.split_sections(text)
+    ctx = PerceivedContext(
+        has_role=pf.SECTION_ROLE in sections,
+        has_job=pf.SECTION_JOB in sections,
+        has_df_description=pf.SECTION_DF_DESCRIPTION in sections,
+        has_output_format=pf.SECTION_OUTPUT_FORMAT in sections,
+        user_query=sections.get(pf.SECTION_USER_QUERY, ""),
     )
-    ctx.has_output_format = (
-        pf.extract_section(prompt, pf.SECTION_OUTPUT_FORMAT) is not None
-    )
 
-    examples = pf.extract_section(prompt, pf.SECTION_EXAMPLES)
+    examples = sections.get(pf.SECTION_EXAMPLES)
     if examples:
         ctx.has_few_shot = True
         ctx.few_shot_fields = _fields_in_examples(examples)
 
-    schema = pf.extract_json_section(prompt, pf.SECTION_SCHEMA)
+    schema = pf.parse_json_body(sections.get(pf.SECTION_SCHEMA))
     if schema:
         fields = schema.get("fields", schema)
         for name, meta in fields.items():
@@ -121,22 +152,19 @@ def perceive(prompt: str, context_window: int) -> PerceivedContext:
             if isinstance(meta, dict) and "type" in meta:
                 ctx.field_types[name] = str(meta["type"])
 
-    values = pf.extract_json_section(prompt, pf.SECTION_VALUES)
+    values = pf.parse_json_body(sections.get(pf.SECTION_VALUES))
     if values:
         for name, examples_list in values.items():
             if isinstance(examples_list, list):
                 ctx.value_examples[name] = examples_list
 
-    guidelines = pf.extract_section(prompt, pf.SECTION_GUIDELINES)
+    guidelines = sections.get(pf.SECTION_GUIDELINES)
     if guidelines:
         ctx.guidelines = [
             line.lstrip("-• ").strip()
             for line in guidelines.splitlines()
             if line.strip() and line.strip() not in ("```",)
         ]
-
-    user_query = pf.extract_section(prompt, pf.SECTION_USER_QUERY)
-    ctx.user_query = user_query or ""
     return ctx
 
 

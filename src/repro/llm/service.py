@@ -17,29 +17,36 @@ totals, a latency reservoir with percentiles) lives behind a lock and
 is exposed as a :meth:`stats` snapshot; the generation pipeline itself
 is pure, so no lock is held while a request is being served.
 
-``realtime_factor`` optionally *sleeps* a scaled fraction of each
-response's simulated latency, turning the virtual cost model into real
-wall-clock I/O wait — which is what a remote LLM endpoint looks like to
-the serving layer, and what lets the serving benchmark overlap turns
-across worker threads the way production would overlap network calls.
+Between turns a prompt changes only in its last section, the question,
+so the server keeps a small **prefix cache** the way a real serving
+stack keeps a KV prefix cache: the text before the user-query section
+is looked up, and its token count and :class:`PerceivedContext` are
+reused (shared, read-only); only the question is tokenised and parsed
+per request.  A cached prefix still *counts* as prompt tokens — the
+accounting is about what was sent, not what was re-read.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from repro.errors import ContextWindowExceededError
 from repro.llm.generation import GenerationResult, QueryTraits, generate_query_code
 from repro.llm.latency import simulate_latency
 from repro.llm.profiles import ModelProfile, get_profile
-from repro.llm.prompt_reading import perceive
+from repro.llm.prompt_format import split_user_query
+from repro.llm.prompt_reading import perceive_prefix, with_question
 from repro.llm.tokenizer import count_tokens
 from repro.utils.reservoir import LatencyReservoir
 
 __all__ = ["ChatRequest", "ChatResponse", "LLMServer"]
+
+#: distinct prompt prefixes kept (one per live prompt config x schema
+#: revision x session guideline set; ~15 KB of text and its parse each)
+_MAX_PREFIXES = 32
 
 
 @dataclass
@@ -81,15 +88,14 @@ class LLMServer:
     update takes the stats lock.
     """
 
-    def __init__(self, *, realtime_factor: float = 0.0) -> None:
-        if realtime_factor < 0:
-            raise ValueError(f"realtime_factor must be >= 0, got {realtime_factor}")
+    def __init__(self) -> None:
         self.request_count = 0
         self.history: list[tuple[ChatRequest, ChatResponse]] = []
         self.keep_history = False
-        #: sleep ``latency_s * realtime_factor`` per request (0 = off)
-        self.realtime_factor = realtime_factor
         self._stats_lock = threading.Lock()
+        #: prefix text -> what it carries (thread-safe LRU; two threads
+        #: missing on one prefix may both read it)
+        self._read_prefix = lru_cache(maxsize=_MAX_PREFIXES)(perceive_prefix)
         self._prompt_tokens_total = 0
         self._output_tokens_total = 0
         self._simulated_latency_total_s = 0.0
@@ -98,13 +104,16 @@ class LLMServer:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         profile = get_profile(request.model)
-        prompt_tokens = count_tokens(request.prompt)
-        if request.strict_context_window and prompt_tokens > profile.context_window:
+        prefix, question = split_user_query(request.prompt)
+        perceived = with_question(
+            self._read_prefix(prefix), prefix, question, profile.context_window
+        )
+        prompt_tokens = perceived.prompt_tokens
+        if request.strict_context_window and perceived.truncated:
             raise ContextWindowExceededError(
                 profile.name, prompt_tokens, profile.context_window
             )
 
-        perceived = perceive(request.prompt, profile.context_window)
         result: GenerationResult = generate_query_code(
             profile,
             perceived,
@@ -137,10 +146,6 @@ class LLMServer:
             self._latencies.add(latency)
             if self.keep_history:
                 self.history.append((request, response))
-        if self.realtime_factor:
-            # outside the lock: this is the (simulated) network wait, and
-            # it is exactly what concurrent sessions overlap
-            time.sleep(latency * self.realtime_factor)
         return response
 
     # -- stats -----------------------------------------------------------------
@@ -149,8 +154,11 @@ class LLMServer:
 
         Latency percentiles are over the simulated per-request
         latencies (seconds) in a bounded most-recent reservoir; token
-        totals and request counts are exact since construction.
+        totals and request counts are exact since construction.  Prefix
+        hits and misses count lookups: one per request, refused ones
+        (``strict_context_window``) included.
         """
+        prefixes = self._read_prefix.cache_info()
         with self._stats_lock:
             return {
                 "requests": self.request_count,
@@ -161,7 +169,8 @@ class LLMServer:
                 ),
                 "simulated_latency_total_s": self._simulated_latency_total_s,
                 **self._latencies.snapshot(),
-                "realtime_factor": self.realtime_factor,
+                "prefix_hits": prefixes.hits,
+                "prefix_misses": prefixes.misses,
             }
 
     # -- convenience ----------------------------------------------------------

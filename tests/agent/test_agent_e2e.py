@@ -132,10 +132,5 @@ class TestSessionGuidelinesAffectBehaviour:
         agent = ProvenanceAgent(ctx, model="gpt-4")
         run_synthetic_campaign(ctx, n_inputs=2)
         agent.chat("use the field lr to filter learning rates")
-        prompt = agent.query_tool.builder.build(
-            "q",
-            schema_payload=agent.context_manager.schema_payload(),
-            values_payload=agent.context_manager.values_payload(),
-            guidelines_text=agent.context_manager.guidelines_text(),
-        )
+        prompt = agent.context_manager.prompt(agent.query_tool.prompt_config, "q")
         assert "lr" in prompt

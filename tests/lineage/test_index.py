@@ -152,6 +152,34 @@ class TestTraversalSurface:
         assert idx.critical_path(workflow_id="w2") == ["e"]
         assert idx.critical_path(workflow_id="missing") == []
 
+    def test_critical_path_ties_break_on_arrival_order(self):
+        """Equally long chains: the earliest-arrived tail and parents win,
+        whatever order the ids hash in (the path itself is pinned, and
+        its length stays the scan-graph oracle's)."""
+        import random
+
+        names = [f"{wf}{step}" for wf in "qzmbxk" for step in range(3)]
+        for seed in range(5):
+            # same chains, ids relabelled so string hashes fall differently
+            relabel = dict(zip(names, random.Random(seed).sample(names, len(names))))
+            docs = []
+            for wf in "qzmbxk":
+                for step in range(3):
+                    upstream = [relabel[f"{wf}{step - 1}"]] if step else []
+                    docs.append({"task_id": relabel[f"{wf}{step}"], "workflow_id": wf,
+                                 "used": {"_upstream": upstream}, "generated": {}})
+            # a late-arriving extra parent of the first chain's tail, as long
+            docs.append({"task_id": "late0", "workflow_id": "q",
+                         "used": {}, "generated": {}})
+            docs.append({"task_id": "late1", "workflow_id": "q",
+                         "used": {"_upstream": ["late0"]}, "generated": {}})
+            docs.append({"task_id": relabel["q2"], "workflow_id": "q",
+                         "used": {"_upstream": ["late1", relabel["q1"]]},
+                         "generated": {}})
+            idx = build(docs)
+            assert idx.critical_path() == [relabel[f"q{step}"] for step in range(3)]
+            assert len(idx.critical_path()) == len(ProvenanceGraph(docs).critical_path())
+
     def test_cycle_rejected_for_critical_path(self):
         idx = build([
             {"task_id": "a", "used": {"_upstream": ["b"]}, "generated": {}},

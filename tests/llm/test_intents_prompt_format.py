@@ -40,37 +40,41 @@ class TestIntentRegistry:
 
 
 class TestPromptFormat:
-    def test_extract_section_returns_body(self):
+    def test_split_sections_returns_bodies(self):
         prompt = (
             pf.render_section(pf.SECTION_ROLE, "You are X.")
             + pf.render_section(pf.SECTION_USER_QUERY, "How many?")
         )
-        assert pf.extract_section(prompt, pf.SECTION_ROLE) == "You are X."
-        assert pf.extract_section(prompt, pf.SECTION_USER_QUERY) == "How many?"
+        assert pf.split_sections(prompt) == {
+            pf.SECTION_ROLE: "You are X.",
+            pf.SECTION_USER_QUERY: "How many?",
+        }
 
-    def test_absent_section_is_none(self):
+    def test_absent_section_is_absent(self):
         prompt = pf.render_section(pf.SECTION_ROLE, "x")
-        assert pf.extract_section(prompt, pf.SECTION_SCHEMA) is None
+        assert pf.SECTION_SCHEMA not in pf.split_sections(prompt)
 
     def test_section_boundaries_respected(self):
         prompt = (
             pf.render_section(pf.SECTION_ROLE, "role text")
             + pf.render_section(pf.SECTION_JOB, "job text")
         )
-        assert "job text" not in pf.extract_section(prompt, pf.SECTION_ROLE)
+        assert "job text" not in pf.split_sections(prompt)[pf.SECTION_ROLE]
 
     def test_json_section_roundtrip(self):
         payload = {"fields": {"a": {"type": "int"}}}
         prompt = pf.render_json_section(pf.SECTION_SCHEMA, payload)
-        assert pf.extract_json_section(prompt, pf.SECTION_SCHEMA) == payload
+        body = pf.split_sections(prompt)[pf.SECTION_SCHEMA]
+        assert pf.parse_json_body(body) == payload
 
     def test_corrupt_json_returns_none(self):
         prompt = f"{pf.SECTION_SCHEMA}\n```json\nnot json at all\n```\n"
-        assert pf.extract_json_section(prompt, pf.SECTION_SCHEMA) is None
+        assert pf.parse_json_body(pf.split_sections(prompt)[pf.SECTION_SCHEMA]) is None
+        assert pf.parse_json_body(None) is None
 
     def test_json_section_with_following_section(self):
         payload = {"k": [1, 2]}
         prompt = pf.render_json_section(pf.SECTION_VALUES, payload) + pf.render_section(
             pf.SECTION_USER_QUERY, "q"
         )
-        assert pf.extract_json_section(prompt, pf.SECTION_VALUES) == payload
+        assert pf.parse_json_body(pf.split_sections(prompt)[pf.SECTION_VALUES]) == payload

@@ -1,4 +1,4 @@
-"""LLMServer: thread-safe accounting, latency percentiles, realtime mode."""
+"""LLMServer: thread-safe accounting, latency percentiles, virtual latency."""
 
 from __future__ import annotations
 
@@ -88,12 +88,8 @@ class TestStats:
         assert len(server.history) == 40
 
 
-class TestRealtimeFactor:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LLMServer(realtime_factor=-0.1)
-
-    def test_zero_factor_does_not_sleep(self):
+class TestVirtualLatency:
+    def test_latency_is_simulated_not_slept(self):
         server = LLMServer()
         t0 = time.perf_counter()
         response = server.complete(_request())
@@ -101,13 +97,3 @@ class TestRealtimeFactor:
         # simulated latency is seconds; real time must stay far below it
         assert response.latency_s > 0.1
         assert elapsed < response.latency_s / 2
-
-    def test_factor_sleeps_scaled_latency(self):
-        server = LLMServer(realtime_factor=0.02)
-        t0 = time.perf_counter()
-        response = server.complete(_request())
-        elapsed = time.perf_counter() - t0
-        assert elapsed >= response.latency_s * 0.02 * 0.8  # sched slop
-
-    def test_stats_report_factor(self):
-        assert LLMServer(realtime_factor=0.5).stats()["realtime_factor"] == 0.5

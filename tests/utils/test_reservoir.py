@@ -114,7 +114,8 @@ class TestStatsBackedByTheReservoir:
             "total_tokens": prompt_tokens + output_tokens,
             "simulated_latency_total_s": server.stats()["simulated_latency_total_s"],
             **reference(latencies),
-            "realtime_factor": 0.0,
+            "prefix_hits": 60 - 17,
+            "prefix_misses": 17,
         }
         stats = server.stats()
         assert stats == expected
